@@ -25,9 +25,15 @@ struct ScoredString {
   }
 };
 
-/// Returns the k highest-probability strings emitted by the SFA, sorted by
-/// descending probability (ties broken lexicographically). Returns fewer
-/// than k if the SFA emits fewer strings.
+/// Returns k highest-probability strings emitted by the SFA, sorted by
+/// descending probability, equal probabilities by ascending string. Returns
+/// fewer than k if the SFA emits fewer strings.
+///
+/// The probabilities always equal the k largest of exhaustive enumeration
+/// (KBestStringsByEnumeration). The strings may not when several strings
+/// tie for the k-th place: the DP prunes every node's prefixes to the k
+/// best by (probability desc, prefix asc), so among tied strings the choice
+/// follows that per-node prefix order, not whole-string order.
 std::vector<ScoredString> KBestStrings(const Sfa& sfa, size_t k);
 
 /// The maximum a-posteriori string (k = 1). Fails only on an empty SFA.

@@ -77,6 +77,38 @@ TEST(KBestTest, ZeroKEmpty) {
   EXPECT_TRUE(KBestStrings(Figure1Sfa(), 0).empty());
 }
 
+// At a tie on the k-th place the DP keeps each node's smaller *prefix*,
+// which need not extend to the smaller full string: "a" beats "ab" at n, so
+// k = 1 yields "az" where whole-string order would pick "abz". The
+// probabilities still match enumeration. Pinned so that stored k-MAP rows
+// and chunk strings never change under a kernel rewrite.
+TEST(KBestTest, TieAtKthPlaceFollowsPerNodePrefixOrder) {
+  SfaBuilder b;
+  NodeId s = b.AddNode(), m = b.AddNode(), n = b.AddNode(), f = b.AddNode();
+  ASSERT_TRUE(b.AddTransition(s, n, "a", 0.5).ok());
+  ASSERT_TRUE(b.AddTransition(s, m, "a", 0.5).ok());
+  ASSERT_TRUE(b.AddTransition(m, n, "b", 1.0).ok());
+  ASSERT_TRUE(b.AddTransition(n, f, "z", 1.0).ok());
+  b.SetStart(s);
+  b.SetFinal(f);
+  auto sfa = b.Build(/*require_stochastic=*/true);
+  ASSERT_TRUE(sfa.ok()) << sfa.status().ToString();
+
+  auto dp = KBestStrings(*sfa, 1);
+  auto enumerated = KBestStringsByEnumeration(*sfa, 1, 16);
+  ASSERT_TRUE(enumerated.ok());
+  ASSERT_EQ(dp.size(), 1u);
+  ASSERT_EQ(enumerated->size(), 1u);
+  EXPECT_EQ(dp[0].prob, (*enumerated)[0].prob);
+  EXPECT_EQ(dp[0].str, "az");
+  EXPECT_EQ((*enumerated)[0].str, "abz");
+
+  // With room for both strings the lists agree exactly.
+  auto both = KBestStringsByEnumeration(*sfa, 2, 16);
+  ASSERT_TRUE(both.ok());
+  EXPECT_EQ(KBestStrings(*sfa, 2), *both);
+}
+
 TEST(KBestTest, RandomSfasAgreeWithEnumeration) {
   Rng rng(77);
   for (int trial = 0; trial < 20; ++trial) {

@@ -394,6 +394,9 @@ TEST_F(TelemetryEndToEndTest, OneDumpShowsEverySubsystem) {
   const std::string dir = eval::MakeScratchDir("telemetry_dump");
   auto db = rdbms::StaccatoDb::Open(dir);
   ASSERT_TRUE(db.ok()) << db.status().ToString();
+  Histogram* construct_us =
+      MetricsRegistry::Global().GetHistogram("staccato_construct_us");
+  const uint64_t constructed_before = construct_us->count();
   ASSERT_TRUE((*db)->Load(*dataset_, SmallLoad()).ok());
   // WAL: one live Append.
   rdbms::DocumentInput in;
@@ -402,6 +405,9 @@ TEST_F(TelemetryEndToEndTest, OneDumpShowsEverySubsystem) {
   in.truth = dataset_->corpus.lines[0];
   in.sfa = dataset_->sfas[0];
   ASSERT_TRUE((*db)->Append(in).ok());
+  // One construction sample per loaded document plus the appended one.
+  EXPECT_EQ(construct_us->count() - constructed_before,
+            dataset_->sfas.size() + 1);
   // Service-governed query: admission + latency histograms.
   rdbms::Session session(db->get(), rdbms::SessionOptions{2, 50});
   rdbms::QueryOptions q;
@@ -427,6 +433,7 @@ TEST_F(TelemetryEndToEndTest, OneDumpShowsEverySubsystem) {
            "staccato_blob_bytes_read_total",
            "staccato_wal_commits_total",
            "staccato_wal_commit_us",
+           "staccato_construct_us",
        }) {
     EXPECT_NE(prom.find(name), std::string::npos)
         << "DumpPrometheus is missing " << name;

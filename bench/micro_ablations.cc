@@ -1,12 +1,14 @@
 // Micro-benchmarks (google-benchmark) for the design choices DESIGN.md
 // calls out: the k-best DP vs naive enumeration, the DFAxSFA dynamic
 // program vs brute-force string enumeration, the candidate cache in the
-// greedy chunker, and B+-tree lookups vs heap scans for postings.
+// greedy chunker, B+-tree lookups vs heap scans for postings, and the
+// cost of compiling a query pattern to its contains-DFA.
 #include <benchmark/benchmark.h>
 
 #include "automata/dfa.h"
 #include "inference/kbest.h"
 #include "inference/query_eval.h"
+#include "ocr/corpus.h"
 #include "ocr/generator.h"
 #include "rdbms/btree.h"
 #include "sfa/sfa.h"
@@ -69,6 +71,29 @@ void BM_QueryEvalBruteForce(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_QueryEvalBruteForce)->Arg(8)->Arg(12)->Arg(16);
+
+// Arg 0: the 21 Table 6 queries, all compiled per iteration. Arg 1: one
+// 40-character literal, whose Thompson NFA has 83 states (two bitset
+// words per DFA subset).
+void BM_DfaCompile(benchmark::State& state) {
+  std::vector<std::string> patterns;
+  if (state.range(0) == 0) {
+    for (DatasetKind kind : {DatasetKind::kCongressActs,
+                             DatasetKind::kLiterature, DatasetKind::kDbPapers}) {
+      for (std::string& q : DatasetQueries(kind)) patterns.push_back(std::move(q));
+    }
+  } else {
+    patterns.push_back("Congressional Budget and Impoundment Act");
+  }
+  for (auto _ : state) {
+    for (const std::string& p : patterns) {
+      benchmark::DoNotOptimize(Dfa::Compile(p, MatchMode::kContains));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(patterns.size()));
+}
+BENCHMARK(BM_DfaCompile)->Arg(0)->Arg(1);
 
 void BM_ChunkerWithCache(benchmark::State& state) {
   Sfa sfa = BenchSfa(64, 8);

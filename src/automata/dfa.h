@@ -7,6 +7,15 @@
 //               pattern match; this implements `LIKE '%pat%'`. Accepting
 //               states are absorbing, which is what makes the probabilistic
 //               DP over SFAs compute Pr[q] correctly.
+//
+// The subset construction works on bitsets: each NFA state's ε-closure is
+// precomputed once, a DFA state is a fixed-width bitset of NFA states, and
+// the alphabet is split into classes of characters that every transition
+// treats alike, so each (state, class) successor is computed once. States
+// are numbered in the order a scan of the characters in ascending order
+// first finds them, so the table is byte-identical to the plain
+// per-character construction (tests/dfa_identity_test.cc pins it). The
+// DFA is not minimized.
 #pragma once
 
 #include <cstdint>

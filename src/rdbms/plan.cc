@@ -294,16 +294,13 @@ const char* EvalStrategyName(EvalStrategy e) {
 }
 
 Result<PlanSpec> BuildPlan(const PlanContext& ctx, Approach approach,
-                           const QueryOptions& q, size_t default_threads) {
+                           const QueryOptions& q, const Pattern& pattern,
+                           size_t default_threads) {
   PlanSpec plan;
   plan.approach = approach;
   plan.pattern = q.pattern;
   plan.num_ans = q.num_ans;
   plan.early_stop = q.early_stop;
-
-  // The pattern must compile; Prepare reuses the DFA, the planner only
-  // needs the parse for the anchor term.
-  STACCATO_ASSIGN_OR_RETURN(Pattern pat, Pattern::Parse(q.pattern));
 
   // Bind equality predicates against the MasterData schema.
   if (ctx.master == nullptr && !q.equalities.empty()) {
@@ -335,7 +332,7 @@ Result<PlanSpec> BuildPlan(const PlanContext& ctx, Approach approach,
       return Status::InvalidArgument("inverted index not built");
     }
     if (ctx.index != nullptr && ctx.dict != nullptr) {
-      std::string candidate = pat.AnchorTerm();
+      std::string candidate = pattern.AnchorTerm();
       if (!candidate.empty() && ctx.dict->Find(candidate) != kInvalidTerm) {
         anchor = candidate;
       }

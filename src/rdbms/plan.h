@@ -395,12 +395,14 @@ struct PlanContext {
 /// index-probe alternatives (CostEstimate), picks the cheaper candidate
 /// source under IndexMode::kAuto (kForce/kNever pin it), picks projection
 /// vs whole-blob fetch, the eval strategy, the worker count, and binds
-/// equality literals against the MasterData schema. `default_threads` is
-/// used when `q.eval_threads == 0` (0 = hardware concurrency). Fails on
-/// unknown columns, type-mismatched literals, or a forced index without a
-/// built index.
+/// equality literals against the MasterData schema. `pattern` is
+/// `q.pattern` already parsed (Prepare parses it once for the DFA and every
+/// shard's plan). `default_threads` is used when `q.eval_threads == 0`
+/// (0 = hardware concurrency). Fails on unknown columns, type-mismatched
+/// literals, or a forced index without a built index.
 Result<PlanSpec> BuildPlan(const PlanContext& ctx, Approach approach,
-                           const QueryOptions& q, size_t default_threads);
+                           const QueryOptions& q, const Pattern& pattern,
+                           size_t default_threads);
 
 /// Prices the scan and index paths for one query from statistics alone.
 /// `anchor` is the resolved dictionary anchor term ("" = none); the index

@@ -51,6 +51,7 @@ struct SessionMetrics {
   telemetry::Counter* queries;
   telemetry::Counter* failures;
   telemetry::Histogram* query_us;
+  telemetry::Histogram* prepare_us;
 };
 
 const SessionMetrics& Metrics() {
@@ -60,6 +61,7 @@ const SessionMetrics& Metrics() {
     sm.queries = r.GetCounter("staccato_queries_total");
     sm.failures = r.GetCounter("staccato_query_failures_total");
     sm.query_us = r.GetHistogram("staccato_query_us");
+    sm.prepare_us = r.GetHistogram("staccato_prepare_us");
     return sm;
   }();
   return m;
@@ -162,8 +164,18 @@ void PreparedQuery::PublishSharedCache(uint64_t generation) {
 
 Result<PreparedQuery> Session::Prepare(Approach approach,
                                        const QueryOptions& q) {
+  const uint64_t start_ns = telemetry::MonotonicNanos();
+  Result<PreparedQuery> pq = PrepareUntimed(approach, q);
+  Metrics().prepare_us->Record((telemetry::MonotonicNanos() - start_ns) / 1000);
+  return pq;
+}
+
+Result<PreparedQuery> Session::PrepareUntimed(Approach approach,
+                                              const QueryOptions& q) {
+  // One parse serves the DFA and every shard's planner.
+  STACCATO_ASSIGN_OR_RETURN(Pattern pattern, Pattern::Parse(q.pattern));
   STACCATO_ASSIGN_OR_RETURN(Dfa dfa,
-                            Dfa::Compile(q.pattern, MatchMode::kContains));
+                            Dfa::Compile(pattern, MatchMode::kContains));
   if (sdb_ != nullptr) {
     // Plan every shard independently: each shard's own TermStats and
     // table statistics price its scan-vs-probe choice, so a skewed shard
@@ -173,7 +185,8 @@ Result<PreparedQuery> Session::Prepare(Approach approach,
     for (size_t s = 0; s < sdb_->num_shards(); ++s) {
       PlanContext ctx = sdb_->shard(s)->MakePlanContext();
       STACCATO_ASSIGN_OR_RETURN(PlanSpec plan,
-                                BuildPlan(ctx, approach, q, opts_.eval_threads));
+                                BuildPlan(ctx, approach, q, pattern,
+                                          opts_.eval_threads));
       plans.push_back(std::move(plan));
     }
     PreparedQuery pq(sdb_, std::move(plans), std::move(dfa));
@@ -182,7 +195,8 @@ Result<PreparedQuery> Session::Prepare(Approach approach,
   }
   PlanContext ctx = db_->MakePlanContext();
   STACCATO_ASSIGN_OR_RETURN(PlanSpec plan,
-                            BuildPlan(ctx, approach, q, opts_.eval_threads));
+                            BuildPlan(ctx, approach, q, pattern,
+                                      opts_.eval_threads));
   PreparedQuery pq(db_, std::move(plan), std::move(dfa), shared_caches_);
   pq.tracer_ = tracer_;
   return pq;

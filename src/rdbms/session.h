@@ -12,8 +12,9 @@
 //   puts(pq.Explain().c_str());
 //   auto answers = pq.Execute();       // repeatable; plan + DFA reused
 //
-// Prepare compiles the pattern DFA once, binds equality literals against
-// the MasterData schema, and freezes a *cost-based* physical plan (plan.h):
+// Prepare parses the pattern once (for the DFA and every shard's planner),
+// compiles the pattern DFA once, binds equality literals against the
+// MasterData schema, and freezes a *cost-based* physical plan (plan.h):
 // the planner prices the full-scan and index-probe paths from posting
 // counts and table statistics and keeps the cheaper one, unless
 // QueryOptions::index_mode pins the choice. A SQL LIMIT clause maps to the
@@ -164,6 +165,10 @@ class Session {
   }
 
  private:
+  /// Prepare's body; Prepare times it into staccato_prepare_us.
+  Result<PreparedQuery> PrepareUntimed(Approach approach,
+                                       const QueryOptions& q);
+
   /// Scatter-gather batch execution: one ExecutePlanBatch per shard fans
   /// out over the pool, every shard's copy of one logical query shares
   /// one forwarded TopKThreshold, and per-query answers merge globally.

@@ -413,8 +413,13 @@ TEST_F(TelemetryEndToEndTest, OneDumpShowsEverySubsystem) {
   rdbms::QueryOptions q;
   q.pattern = DatasetQueries(DatasetKind::kCongressActs)[0];
   q.num_ans = 20;
+  Histogram* prepare_us =
+      MetricsRegistry::Global().GetHistogram("staccato_prepare_us");
+  const uint64_t prepared_before = prepare_us->count();
   auto pq = session.Prepare(rdbms::Approach::kStaccato, q);
   ASSERT_TRUE(pq.ok()) << pq.status().ToString();
+  // One prepare sample per Session::Prepare.
+  EXPECT_EQ(prepare_us->count() - prepared_before, 1u);
   rdbms::QueryService svc(&session);
   rdbms::QueryStats stats;
   auto ans = svc.Execute(&*pq, &stats);
@@ -434,6 +439,7 @@ TEST_F(TelemetryEndToEndTest, OneDumpShowsEverySubsystem) {
            "staccato_wal_commits_total",
            "staccato_wal_commit_us",
            "staccato_construct_us",
+           "staccato_prepare_us",
        }) {
     EXPECT_NE(prom.find(name), std::string::npos)
         << "DumpPrometheus is missing " << name;

@@ -1,6 +1,7 @@
 #include "automata/dfa.h"
 
 #include <algorithm>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -173,9 +174,16 @@ Result<Dfa> Dfa::Compile(const Pattern& pattern, MatchMode mode) {
   std::vector<const uint64_t*> subsets;  // by state id; map nodes are stable
   const uint64_t* start_row = &closure[static_cast<size_t>(nfa.start) * words];
   std::vector<uint64_t> next(start_row, start_row + words);
+  // A new subset past the cap stops construction: the caller sees
+  // kDfaDead and `over_cap`, and nothing further is allocated.
+  bool over_cap = false;
   auto intern = [&]() {
     auto it = ids.find(next);
     if (it != ids.end()) return it->second;
+    if (subsets.size() == static_cast<size_t>(kMaxDfaStates)) {
+      over_cap = true;
+      return kDfaDead;
+    }
     const auto id = static_cast<DfaState>(subsets.size());
     subsets.push_back(ids.emplace(next, id).first->first.data());
     return id;
@@ -207,6 +215,11 @@ Result<Dfa> Dfa::Compile(const Pattern& pattern, MatchMode mode) {
       const bool empty = std::all_of(next.begin(), next.end(),
                                      [](uint64_t w) { return w == 0; });
       succ[c] = empty ? kDfaDead : intern();
+    }
+    if (over_cap) {
+      return Status::InvalidArgument(
+          "pattern '" + pattern.text() + "' needs more than " +
+          std::to_string(kMaxDfaStates) + " DFA states (kMaxDfaStates)");
     }
     for (int ci = 0; ci < kAlphabetSize; ++ci) {
       dfa.table_.push_back(succ[class_of[ci]]);

@@ -30,6 +30,14 @@ namespace staccato {
 using DfaState = int32_t;
 inline constexpr DfaState kDfaDead = -1;
 
+/// Compile refuses a pattern whose DFA would need more states than this,
+/// with InvalidArgument, and stops as soon as the cap is passed. A contains
+/// pattern with k wildcards between two literals can need 5·2^k states, so
+/// one ad-hoc LIKE string could otherwise allocate gigabytes: the table
+/// (states × 95 entries) and, at eval time, a nodes × states mass table
+/// per candidate. At the cap the table is 6.2 MB.
+inline constexpr int kMaxDfaStates = 1 << 14;
+
 enum class MatchMode {
   kExact,
   kContains,
@@ -38,7 +46,8 @@ enum class MatchMode {
 /// \brief Table-driven DFA over the printable-ASCII alphabet.
 class Dfa {
  public:
-  /// Compiles a pattern under the given match semantics.
+  /// Compiles a pattern under the given match semantics. InvalidArgument
+  /// if the DFA would have more than kMaxDfaStates states.
   static Result<Dfa> Compile(const Pattern& pattern, MatchMode mode);
   static Result<Dfa> Compile(const std::string& pattern_text, MatchMode mode);
 

@@ -60,6 +60,15 @@ constexpr double kBoundSlackAbs = 1e-9;
 /// outgoing probabilities sum above 1 (G::MassBoundSafe), pending mass can
 /// at best funnel into accepting states unshrunk, so `live` bounds the
 /// final probability from above and only tightens as the DP advances.
+///
+/// Live-state walk: each label character steps only the DFA states that
+/// carry mass, kept as an ascending list. A deterministic step never grows
+/// that list; its successor list is built by marking targets in a bitset
+/// and reading the marks back in ascending order. Every `+=` therefore
+/// happens in the ascending-state order of the dense loop in StepLabel,
+/// and the entries it skips are exact zeros, so every sum is the same to
+/// the bit. Once one state is left, the walk is a plain DFA run: the mass
+/// moves unchanged (0.0 + m == m).
 template <typename G>
 double EvalBoundedImpl(const G& g, const Dfa& dfa, double threshold,
                        EvalScratch* scratch, EvalBound* bound) {
@@ -75,8 +84,16 @@ double EvalBoundedImpl(const G& g, const Dfa& dfa, double threshold,
   mass.assign(g.NumNodes() * q, 0.0);
   std::vector<double>& cur = scratch->cur;
   std::vector<double>& next = scratch->next;
+  std::vector<DfaState>& live_in = scratch->live_in;
+  std::vector<DfaState>& live_cur = scratch->live_cur;
+  std::vector<DfaState>& live_next = scratch->live_next;
+  std::vector<uint64_t>& marks = scratch->marks;
   cur.resize(q);
   next.resize(q);
+  live_in.resize(q);
+  live_cur.resize(q);
+  live_next.resize(q);
+  marks.assign((q + 63) / 64, 0);
 
   const NodeId fin = g.final();
   mass[static_cast<size_t>(g.start()) * q + static_cast<size_t>(dfa.start())] =
@@ -91,22 +108,63 @@ double EvalBoundedImpl(const G& g, const Dfa& dfa, double threshold,
     if (n == fin) continue;  // no out-edges; its mass is scored at the end
     const double* in = &mass[static_cast<size_t>(n) * q];
     double sum_in = 0.0;
-    for (size_t s = 0; s < q; ++s) sum_in += in[s];
+    size_t n_in = 0;
+    for (size_t s = 0; s < q; ++s) {
+      sum_in += in[s];
+      if (in[s] != 0.0) live_in[n_in++] = static_cast<DfaState>(s);
+    }
     if (sum_in == 0.0) continue;  // masses are non-negative: all-zero node
     live -= sum_in;
     g.ForEachOutTransition(n, [&](NodeId to, std::string_view label,
                                   double prob) {
-      for (size_t s = 0; s < q; ++s) cur[s] = in[s] * prob;
-      for (char c : label) {
-        std::fill(next.begin(), next.end(), 0.0);
-        for (size_t s = 0; s < q; ++s) {
-          double m = cur[s];
-          if (m == 0.0) continue;
-          DfaState t = dfa.Next(static_cast<DfaState>(s), c);
+      size_t n_cur = 0;
+      for (size_t i = 0; i < n_in; ++i) {
+        const DfaState s = live_in[i];
+        const double m = in[s] * prob;
+        if (m == 0.0) continue;  // the dense step skips zeros too
+        cur[static_cast<size_t>(s)] = m;
+        live_cur[n_cur++] = s;
+      }
+      size_t pos = 0;
+      for (; pos < label.size() && n_cur > 1; ++pos) {
+        const char c = label[pos];
+        for (size_t i = 0; i < n_cur; ++i) {
+          const DfaState s = live_cur[i];
+          const DfaState t = dfa.Next(s, c);
           if (t == kDfaDead) continue;  // rejected mass is dropped
-          next[static_cast<size_t>(t)] += m;
+          const size_t ti = static_cast<size_t>(t);
+          uint64_t& word = marks[ti >> 6];
+          const uint64_t bit = uint64_t{1} << (ti & 63);
+          if ((word & bit) != 0) {
+            next[ti] += cur[static_cast<size_t>(s)];
+          } else {
+            word |= bit;
+            next[ti] = cur[static_cast<size_t>(s)];
+          }
+        }
+        n_cur = 0;
+        for (size_t w = 0; w < marks.size(); ++w) {
+          for (uint64_t bits = marks[w]; bits != 0; bits &= bits - 1) {
+            live_next[n_cur++] =
+                static_cast<DfaState>(w * 64 + __builtin_ctzll(bits));
+          }
+          marks[w] = 0;
         }
         cur.swap(next);
+        live_cur.swap(live_next);
+      }
+      if (n_cur == 1 && pos < label.size()) {
+        DfaState s = live_cur[0];
+        const double m = cur[static_cast<size_t>(s)];
+        for (; pos < label.size() && s != kDfaDead; ++pos) {
+          s = dfa.Next(s, label[pos]);
+        }
+        if (s == kDfaDead) {
+          n_cur = 0;
+        } else {
+          cur[static_cast<size_t>(s)] = m;
+          live_cur[0] = s;
+        }
       }
       steps += static_cast<uint64_t>(label.size()) * q;
       double* out = &mass[static_cast<size_t>(to) * q];
@@ -114,14 +172,16 @@ double EvalBoundedImpl(const G& g, const Dfa& dfa, double threshold,
         // Only accepting arrivals stay alive: the final node has no
         // out-edges, so non-accepting mass here is already dead.
         double accepted = 0.0;
-        for (size_t s = 0; s < q; ++s) {
-          out[s] += cur[s];
-          if (dfa.IsAccept(static_cast<DfaState>(s))) accepted += cur[s];
+        for (size_t i = 0; i < n_cur; ++i) {
+          const DfaState s = live_cur[i];
+          out[s] += cur[static_cast<size_t>(s)];
+          if (dfa.IsAccept(s)) accepted += cur[static_cast<size_t>(s)];
         }
         live += accepted;
       } else {
         double survived = 0.0;
-        for (size_t s = 0; s < q; ++s) {
+        for (size_t i = 0; i < n_cur; ++i) {
+          const size_t s = static_cast<size_t>(live_cur[i]);
           out[s] += cur[s];
           survived += cur[s];
         }

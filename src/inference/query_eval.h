@@ -3,8 +3,11 @@
 //
 // The evaluator is the matrix-multiplication-style dynamic program of
 // Ré et al. [45] specialized to DAG SFAs: propagate, in topological order,
-// a per-node distribution over DFA states. Cost is linear in the SFA size
-// and (at worst) quadratic-to-cubic in DFA states, matching Table 1.
+// a per-node distribution over DFA states. The reference kernel steps all
+// q DFA states per label character, linear in the SFA size times q as in
+// Table 1. The bounded kernels step only the states that carry mass, so
+// their cost is label characters × live states (about one on OCR
+// documents) plus O(q) per SFA node.
 //
 // The same evaluator serves the FullSFA baseline and the Staccato chunked
 // representation, because a chunk graph is itself a generalized SFA.
@@ -60,6 +63,7 @@ Result<double> EvalSerializedSfa(const std::string& blob, const Dfa& dfa);
 /// \brief How one bounded evaluation ended, for the executor's pruning
 /// stats. `steps` counts (label-char × dfa-state) units, the same currency
 /// as CountEvalWork, so steps_total - steps is the work an abort skipped.
+/// It counts all q states per character, however few the kernel steps.
 struct EvalBound {
   bool pruned = false;        ///< aborted: upper bound fell below threshold
   uint64_t steps = 0;         ///< DP steps actually executed
@@ -74,8 +78,12 @@ struct EvalBound {
 struct EvalScratch {
   SfaViewArena arena;
   std::vector<double> mass;    ///< num_nodes × q, node-major
-  std::vector<double> cur;     ///< q — StepLabel working vector
-  std::vector<double> next;    ///< q — StepLabel swap partner
+  std::vector<double> cur;     ///< q — per-character working vector
+  std::vector<double> next;    ///< q — its swap partner
+  std::vector<DfaState> live_in;    ///< states with mass at the node
+  std::vector<DfaState> live_cur;   ///< states with mass in `cur`, ascending
+  std::vector<DfaState> live_next;  ///< swap partner of live_cur
+  std::vector<uint64_t> marks;      ///< ⌈q/64⌉-word set of step targets
 };
 
 /// \brief Per-Sfa invariants of the bounded kernel — total label chars

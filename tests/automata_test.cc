@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "automata/dfa.h"
 #include "automata/pattern.h"
 #include "automata/trie.h"
@@ -90,6 +92,30 @@ TEST(DfaContainsTest, DigitWildcards) {
   EXPECT_FALSE(dfa->Matches("U.S.C. 3301"));
   EXPECT_FALSE(dfa->Matches("U.S.C. 23a1"));
   EXPECT_FALSE(dfa->Matches("USC 2301"));
+}
+
+// `(a|b)` + k × `\x` + `(b|c)` needs 2^(k+3) contains-DFA states: k=11 is
+// exactly the cap, k=12 one doubling past it.
+std::string WildcardRun(size_t k) {
+  std::string p = "(a|b)";
+  for (size_t i = 0; i < k; ++i) p += "\\x";
+  return p + "(b|c)";
+}
+
+TEST(DfaContainsTest, StateCapAdmitsAtCapAndRejectsPastIt) {
+  auto at_cap = Dfa::Compile(WildcardRun(11), MatchMode::kContains);
+  ASSERT_TRUE(at_cap.ok()) << at_cap.status().ToString();
+  EXPECT_EQ(at_cap->NumStates(), kMaxDfaStates);
+  EXPECT_TRUE(at_cap->Matches("xxa01234567890cyy"));
+
+  auto past = Dfa::Compile(WildcardRun(12), MatchMode::kContains);
+  ASSERT_FALSE(past.ok());
+  EXPECT_TRUE(past.status().IsInvalidArgument());
+  EXPECT_NE(past.status().ToString().find(std::to_string(kMaxDfaStates)),
+            std::string::npos)
+      << past.status().ToString();
+  // The exact-mode DFA of the same pattern is linear in k.
+  EXPECT_TRUE(Dfa::Compile(WildcardRun(12), MatchMode::kExact).ok());
 }
 
 TEST(DfaContainsTest, Alternation) {

@@ -191,6 +191,72 @@ TEST_P(EvaluatorAgreement, BoundedKernelsBitIdenticalAndPruneSoundly) {
   }
 }
 
+// Patterns whose contains-DFA is wider than one and than two 64-bit words,
+// so the kernel's live-state bitset spans several words. Each matches
+// "Public Law 89" somewhere: "ic Law", "lic Law", "blic Law".
+TEST_P(EvaluatorAgreement, WideDfaBoundedKernelsMatchReference) {
+  Rng rng(GetParam() * 7 + 5);
+  OcrNoiseModel model;
+  model.alternatives = 3;
+  model.p_branch = 0.25;
+  auto sfa = OcrLineToSfa("Public Law 89", model, &rng);
+  ASSERT_TRUE(sfa.ok());
+  auto approx = ApproximateSfa(*sfa, {4, 2, true});
+  ASSERT_TRUE(approx.ok());
+  const struct {
+    const char* pat;
+    int states;
+  } kWide[] = {
+      {"i\\x\\x\\x\\xw", 80},
+      {"l\\x\\x\\x\\x\\xw", 160},
+      {"(b|u)\\x\\x\\x\\x\\x\\x(w|8)", 512},
+  };
+  EvalScratch scratch;  // shared across every case, like a worker's
+  for (const Sfa* s : {&*sfa, &*approx}) {
+    const std::string blob = s->Serialize();
+    const SfaEvalInfo info = ComputeSfaEvalInfo(*s);
+    for (const auto& w : kWide) {
+      auto dfa = Dfa::Compile(w.pat, MatchMode::kContains);
+      ASSERT_TRUE(dfa.ok());
+      ASSERT_EQ(dfa->NumStates(), w.states) << w.pat;
+      const double reference = EvalSfaQuery(*s, *dfa);
+      EXPECT_GT(reference, 0.0) << w.pat;
+
+      // Object kernel at threshold 0 is the dense reference, to the bit.
+      EvalBound object_bound;
+      const double object = EvalSfaQueryBounded(*s, *dfa, 0.0, info,
+                                                &scratch, &object_bound);
+      EXPECT_EQ(object, reference) << w.pat;
+      EXPECT_FALSE(object_bound.pruned);
+      EXPECT_EQ(object_bound.steps, CountEvalWork(*s, *dfa));
+
+      // The view kernel over the stored blob equals the object kernel.
+      EvalBound view_bound;
+      auto viewed = EvalSerializedSfaBounded(blob, *dfa, 0.0, &scratch,
+                                             &view_bound);
+      ASSERT_TRUE(viewed.ok());
+      EXPECT_EQ(*viewed, object) << w.pat;
+      EXPECT_EQ(view_bound.steps, object_bound.steps);
+      EXPECT_EQ(view_bound.steps_total, object_bound.steps_total);
+
+      // Prune soundness: complete with the reference, or abort below the
+      // threshold.
+      for (double threshold : {0.05, 0.3, 0.7, 1.1}) {
+        EvalBound bound;
+        auto p = EvalSerializedSfaBounded(blob, *dfa, threshold, &scratch,
+                                          &bound);
+        ASSERT_TRUE(p.ok());
+        if (bound.pruned) {
+          EXPECT_LT(reference, threshold) << w.pat << " thr=" << threshold;
+          EXPECT_LE(bound.steps, bound.steps_total);
+        } else {
+          EXPECT_EQ(*p, reference) << w.pat << " thr=" << threshold;
+        }
+      }
+    }
+  }
+}
+
 TEST_P(EvaluatorAgreement, ViewDecodeMatchesDeserializeOnStoredBlobs) {
   Rng rng(GetParam() * 101 + 13);
   OcrNoiseModel model;

@@ -162,6 +162,29 @@ TEST(SessionTest, EqualityPredicateFiltersCandidates) {
                   .IsInvalidArgument());
 }
 
+// An ad-hoc LIKE whose contains-DFA would need 5·2^24 states (gigabytes
+// of table) is refused while the DFA is built, and a pattern just under
+// the cap still prepares.
+TEST(SessionTest, PrepareSqlRejectsPatternsPastTheDfaStateCap) {
+  auto wb = Workbench::Create(SmallSpec());
+  ASSERT_TRUE(wb.ok()) << wb.status().ToString();
+  Session session(&(*wb)->db());
+  auto sql = [](size_t wildcards, const std::string& tail) {
+    std::string like = "a";
+    for (size_t i = 0; i < wildcards; ++i) like += "\\x";
+    return "SELECT * FROM Docs WHERE DocData LIKE '%" + like + tail + "%'";
+  };
+  auto huge = session.PrepareSql(Approach::kStaccato, sql(24, "b"));
+  ASSERT_FALSE(huge.ok());
+  EXPECT_TRUE(huge.status().IsInvalidArgument()) << huge.status().ToString();
+  EXPECT_NE(huge.status().ToString().find("DFA states"), std::string::npos)
+      << huge.status().ToString();
+
+  // a + 11 wildcards + bcd: 14848 states, under kMaxDfaStates = 16384.
+  auto under = session.PrepareSql(Approach::kStaccato, sql(11, "bcd"));
+  ASSERT_TRUE(under.ok()) << under.status().ToString();
+}
+
 TEST(SessionTest, PaperExampleSqlExecutesEndToEnd) {
   auto wb = Workbench::Create(SmallSpec());
   ASSERT_TRUE(wb.ok());

@@ -234,6 +234,26 @@ struct SfaGraph {
   }
 };
 
+/// The object-graph adapter with its per-Sfa invariants — total label
+/// chars (for steps accounting) and mass-bound safety — computed by two
+/// O(transitions) sweeps.
+SfaGraph MakeSfaGraph(const Sfa& sfa) {
+  uint64_t label_chars = 0;
+  for (const Edge& e : sfa.edges()) {
+    for (const Transition& t : e.transitions) label_chars += t.label.size();
+  }
+  // The bound is only an upper bound when no node amplifies mass.
+  bool mass_safe = true;
+  for (NodeId n = 0; n < sfa.NumNodes() && mass_safe; ++n) {
+    double sum = 0.0;
+    for (EdgeId eid : sfa.OutEdges(n)) {
+      for (const Transition& t : sfa.edge(eid).transitions) sum += t.prob;
+    }
+    if (sum > 1.0 + 1e-6) mass_safe = false;
+  }
+  return SfaGraph{sfa, mass_safe, label_chars};
+}
+
 /// Graph adapter over the flat blob view.
 struct ViewGraph {
   const SfaView& view;
@@ -301,38 +321,11 @@ double EvalSfaQuery(const Sfa& sfa, const Dfa& dfa) {
   return p > 1.0 ? 1.0 : p;
 }
 
-SfaEvalInfo ComputeSfaEvalInfo(const Sfa& sfa) {
-  SfaEvalInfo info;
-  for (const Edge& e : sfa.edges()) {
-    for (const Transition& t : e.transitions) {
-      info.label_chars += t.label.size();
-    }
-  }
-  // The bound is only an upper bound when no node amplifies mass.
-  info.mass_safe = true;
-  for (NodeId n = 0; n < sfa.NumNodes() && info.mass_safe; ++n) {
-    double sum = 0.0;
-    for (EdgeId eid : sfa.OutEdges(n)) {
-      for (const Transition& t : sfa.edge(eid).transitions) sum += t.prob;
-    }
-    if (sum > 1.0 + 1e-6) info.mass_safe = false;
-  }
-  return info;
-}
-
-double EvalSfaQueryBounded(const Sfa& sfa, const Dfa& dfa, double threshold,
-                           const SfaEvalInfo& info, EvalScratch* scratch,
-                           EvalBound* bound) {
-  SfaGraph g{sfa, info.mass_safe, info.label_chars};
-  EvalScratch local;
-  return EvalBoundedImpl(g, dfa, threshold,
-                         scratch != nullptr ? scratch : &local, bound);
-}
-
 double EvalSfaQueryBounded(const Sfa& sfa, const Dfa& dfa, double threshold,
                            EvalScratch* scratch, EvalBound* bound) {
-  return EvalSfaQueryBounded(sfa, dfa, threshold, ComputeSfaEvalInfo(sfa),
-                             scratch, bound);
+  EvalScratch local;
+  return EvalBoundedImpl(MakeSfaGraph(sfa), dfa, threshold,
+                         scratch != nullptr ? scratch : &local, bound);
 }
 
 double EvalSfaViewBounded(const SfaView& view, const Dfa& dfa,

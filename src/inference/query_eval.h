@@ -86,20 +86,6 @@ struct EvalScratch {
   std::vector<uint64_t> marks;      ///< ⌈q/64⌉-word set of step targets
 };
 
-/// \brief Per-Sfa invariants of the bounded kernel — total label chars
-/// (for steps accounting) and the mass-bound safety of the graph. Both
-/// are O(transitions) sweeps, so callers that evaluate one Sfa many times
-/// (the batch executor shares a deserialized transducer across every
-/// query) compute them once and pass them in.
-struct SfaEvalInfo {
-  uint64_t label_chars = 0;
-  /// No node's outgoing probabilities sum above 1 — the precondition for
-  /// live-mass pruning (see EvalSfaQueryBounded).
-  bool mass_safe = false;
-};
-
-SfaEvalInfo ComputeSfaEvalInfo(const Sfa& sfa);
-
 /// EvalSfaQuery with early termination: aborts — returning 0 and setting
 /// `bound->pruned` — as soon as the exact upper bound accepted + live_mass
 /// drops below `threshold`. threshold <= 0 never prunes, and the result is
@@ -111,11 +97,6 @@ SfaEvalInfo ComputeSfaEvalInfo(const Sfa& sfa);
 /// `scratch` may be null (buffers are then local).
 double EvalSfaQueryBounded(const Sfa& sfa, const Dfa& dfa, double threshold,
                            EvalScratch* scratch = nullptr,
-                           EvalBound* bound = nullptr);
-
-/// Same, with the per-Sfa invariants precomputed by the caller.
-double EvalSfaQueryBounded(const Sfa& sfa, const Dfa& dfa, double threshold,
-                           const SfaEvalInfo& info, EvalScratch* scratch,
                            EvalBound* bound = nullptr);
 
 /// The bounded kernel over an already-decoded view. Bit-identical to

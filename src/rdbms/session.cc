@@ -1,6 +1,6 @@
 #include "rdbms/session.h"
 
-#include <deque>
+#include <algorithm>
 #include <iterator>
 
 #include "rdbms/service.h"
@@ -41,7 +41,8 @@ std::string PlanFingerprint(const PlanSpec& plan) {
 
 /// Artifact richness, for "publish only if we know more" comparisons.
 int ArtifactCount(const PlanCache& cache) {
-  return (cache.bitmap_valid ? 1 : 0) + (cache.candidates_valid ? 1 : 0);
+  return (cache.bitmap != nullptr ? 1 : 0) +
+         (cache.candidates != nullptr ? 1 : 0);
 }
 
 /// Session-level query metrics, registered once (see service.cc for the
@@ -67,12 +68,17 @@ const SessionMetrics& Metrics() {
   return m;
 }
 
-/// Remaps one shard's ranked answers (shard-local doc ids) to global ids
-/// through the id-map snapshot and appends them to `merged`.
-Status GatherShardAnswers(const ShardMap& map, size_t shard,
+/// Remaps one partition's ranked answers (local doc ids) to global ids
+/// through the id-map snapshot and appends them to `merged`. A null map is
+/// the identity (a single StaccatoDb's local ids are the global ones).
+Status GatherShardAnswers(const ShardMap* map, size_t shard,
                           const std::vector<Answer>& answers,
                           std::vector<Answer>* merged) {
-  const std::vector<DocId>& l2g = map.local_to_global[shard];
+  if (map == nullptr) {
+    merged->insert(merged->end(), answers.begin(), answers.end());
+    return Status::OK();
+  }
+  const std::vector<DocId>& l2g = map->local_to_global[shard];
   for (const Answer& a : answers) {
     if (a.doc >= l2g.size()) {
       return Status::Internal("shard answer missing from the id map");
@@ -84,81 +90,95 @@ Status GatherShardAnswers(const ShardMap& map, size_t shard,
 
 }  // namespace
 
-PreparedQuery::PreparedQuery(StaccatoDb* db, PlanSpec plan, Dfa dfa,
-                             std::shared_ptr<SharedPlanCacheTable> shared)
-    : db_(db),
-      plan_(std::move(plan)),
+Session::Session(StaccatoDb* db, SessionOptions opts)
+    : parts_{db},
+      opts_(opts),
+      shared_caches_(std::make_shared<SharedPlanCacheTable>(1)) {}
+
+Session::Session(ShardedDb* db, SessionOptions opts)
+    : sharded_(db),
+      opts_(opts),
+      shared_caches_(
+          std::make_shared<SharedPlanCacheTable>(db->num_shards())) {
+  for (size_t s = 0; s < db->num_shards(); ++s) parts_.push_back(db->shard(s));
+}
+
+PreparedQuery::PreparedQuery(ShardedDb* sharded, std::vector<Partition> parts,
+                             Dfa dfa,
+                             std::shared_ptr<SharedPlanCacheTable> shared,
+                             std::shared_ptr<telemetry::TraceSink> tracer)
+    : sharded_(sharded),
+      parts_(std::move(parts)),
       dfa_(std::move(dfa)),
       shared_(std::move(shared)),
-      fingerprint_(PlanFingerprint(plan_)) {}
+      tracer_(std::move(tracer)) {
+  for (Partition& part : parts_) part.fingerprint = PlanFingerprint(part.plan);
+}
 
-PreparedQuery::PreparedQuery(ShardedDb* db, std::vector<PlanSpec> shard_plans,
-                             Dfa dfa)
-    : db_(nullptr),
-      plan_(shard_plans.front()),
-      dfa_(std::move(dfa)),
-      sdb_(db),
-      shard_plans_(std::move(shard_plans)),
-      shard_caches_(shard_plans_.size()) {}
-
-bool PreparedQuery::AdoptSharedCache(uint64_t generation) {
-  if (shared_ == nullptr) return false;
-  const bool needs_bitmap = !plan_.equalities.empty();
-  const bool needs_cands = plan_.source == CandidateSource::kIndexProbe;
+bool PreparedQuery::AdoptSharedCache(size_t s, uint64_t generation) {
+  const PlanSpec& plan = parts_[s].plan;
+  PlanCache& cache = parts_[s].cache;
+  const bool needs_bitmap = !plan.equalities.empty();
+  const bool needs_cands = plan.source == CandidateSource::kIndexProbe;
   if (!needs_bitmap && !needs_cands) return false;  // nothing is memoized
-  const bool local_current = cache_.generation == generation;
-  if (local_current && (!needs_bitmap || cache_.bitmap_valid) &&
-      (!needs_cands || cache_.candidates_valid)) {
+  const bool local_current = cache.generation == generation;
+  if (local_current && (!needs_bitmap || cache.bitmap != nullptr) &&
+      (!needs_cands || cache.candidates != nullptr)) {
     return false;  // locally warm already
   }
   std::shared_ptr<const PlanCache> entry;
   {
     util::MutexLock lock(&shared_->mu);
-    auto it = shared_->entries.find(fingerprint_);
-    if (it != shared_->entries.end()) entry = it->second;
+    const auto& entries = shared_->entries[s];
+    auto it = entries.find(parts_[s].fingerprint);
+    if (it != entries.end()) entry = it->second;
   }
   if (entry == nullptr || entry->generation != generation) return false;
   if (!local_current) {
-    cache_ = PlanCache{};
-    cache_.generation = generation;
+    cache = PlanCache{};
+    cache.generation = generation;
   }
   bool adopted = false;
-  if (needs_bitmap && !cache_.bitmap_valid && entry->bitmap_valid) {
-    cache_.bitmap = entry->bitmap;
-    cache_.bitmap_valid = true;
+  // Shared, not copied: the artifacts are immutable (see PlanCache).
+  if (needs_bitmap && cache.bitmap == nullptr && entry->bitmap != nullptr) {
+    cache.bitmap = entry->bitmap;
     adopted = true;
   }
-  if (needs_cands && !cache_.candidates_valid && entry->candidates_valid) {
-    cache_.candidates = entry->candidates;
-    cache_.candidates_valid = true;
+  if (needs_cands && cache.candidates == nullptr &&
+      entry->candidates != nullptr) {
+    cache.candidates = entry->candidates;
     adopted = true;
   }
-  if (adopted) shared_->hits.fetch_add(1, std::memory_order_relaxed);
   return adopted;
 }
 
-void PreparedQuery::PublishSharedCache(uint64_t generation) {
-  if (shared_ == nullptr || cache_.generation != generation) return;
-  if (ArtifactCount(cache_) == 0) return;
+void PreparedQuery::PublishSharedCache(size_t s, uint64_t generation) {
+  const PlanCache& cache = parts_[s].cache;
+  const std::string& fingerprint = parts_[s].fingerprint;
+  if (cache.generation != generation || ArtifactCount(cache) == 0) return;
+  // A map started over is freed here, after the lock is released: it may
+  // hold the last reference to many artifacts.
+  SharedPlanCacheTable::Map dropped;
   util::MutexLock lock(&shared_->mu);
+  auto& entries = shared_->entries[s];
   // The table is bounded: these are memoizations, so dropping them only
-  // costs a recompute. When full, first purge entries a reload already
-  // killed; if every entry is current, start the table over rather than
-  // grow without bound in a long-lived serving session.
-  if (shared_->entries.size() >= SharedPlanCacheTable::kMaxEntries &&
-      shared_->entries.find(fingerprint_) == shared_->entries.end()) {
-    for (auto it = shared_->entries.begin(); it != shared_->entries.end();) {
-      it = it->second->generation != generation ? shared_->entries.erase(it)
+  // costs a recompute. When this partition's share is full, first purge
+  // its entries a reload already killed; if every entry is current, start
+  // its map over rather than grow without bound in a long-lived serving
+  // session.
+  const size_t cap = std::max<size_t>(
+      1, SharedPlanCacheTable::kMaxEntries / shared_->entries.size());
+  if (entries.size() >= cap && entries.find(fingerprint) == entries.end()) {
+    for (auto it = entries.begin(); it != entries.end();) {
+      it = it->second->generation != generation ? entries.erase(it)
                                                 : std::next(it);
     }
-    if (shared_->entries.size() >= SharedPlanCacheTable::kMaxEntries) {
-      shared_->entries.clear();
-    }
+    if (entries.size() >= cap) dropped.swap(entries);
   }
-  std::shared_ptr<const PlanCache>& slot = shared_->entries[fingerprint_];
+  std::shared_ptr<const PlanCache>& slot = entries[fingerprint];
   if (slot == nullptr || slot->generation != generation ||
-      ArtifactCount(*slot) < ArtifactCount(cache_)) {
-    slot = std::make_shared<const PlanCache>(cache_);
+      ArtifactCount(*slot) < ArtifactCount(cache)) {
+    slot = std::make_shared<const PlanCache>(cache);
   }
 }
 
@@ -176,30 +196,19 @@ Result<PreparedQuery> Session::PrepareUntimed(Approach approach,
   STACCATO_ASSIGN_OR_RETURN(Pattern pattern, Pattern::Parse(q.pattern));
   STACCATO_ASSIGN_OR_RETURN(Dfa dfa,
                             Dfa::Compile(pattern, MatchMode::kContains));
-  if (sdb_ != nullptr) {
-    // Plan every shard independently: each shard's own TermStats and
-    // table statistics price its scan-vs-probe choice, so a skewed shard
-    // can probe while its siblings scan.
-    std::vector<PlanSpec> plans;
-    plans.reserve(sdb_->num_shards());
-    for (size_t s = 0; s < sdb_->num_shards(); ++s) {
-      PlanContext ctx = sdb_->shard(s)->MakePlanContext();
-      STACCATO_ASSIGN_OR_RETURN(PlanSpec plan,
-                                BuildPlan(ctx, approach, q, pattern,
-                                          opts_.eval_threads));
-      plans.push_back(std::move(plan));
-    }
-    PreparedQuery pq(sdb_, std::move(plans), std::move(dfa));
-    pq.tracer_ = tracer_;
-    return pq;
+  // Plan every partition independently: each shard's own TermStats and
+  // table statistics price its scan-vs-probe choice, so a skewed shard
+  // can probe while its siblings scan.
+  std::vector<PreparedQuery::Partition> parts(parts_.size());
+  for (size_t s = 0; s < parts_.size(); ++s) {
+    PlanContext ctx = parts_[s]->MakePlanContext();
+    STACCATO_ASSIGN_OR_RETURN(parts[s].plan,
+                              BuildPlan(ctx, approach, q, pattern,
+                                        opts_.eval_threads));
+    parts[s].db = parts_[s];
   }
-  PlanContext ctx = db_->MakePlanContext();
-  STACCATO_ASSIGN_OR_RETURN(PlanSpec plan,
-                            BuildPlan(ctx, approach, q, pattern,
-                                      opts_.eval_threads));
-  PreparedQuery pq(db_, std::move(plan), std::move(dfa), shared_caches_);
-  pq.tracer_ = tracer_;
-  return pq;
+  return PreparedQuery(sharded_, std::move(parts), std::move(dfa),
+                       shared_caches_, tracer_);
 }
 
 Result<PreparedQuery> Session::PrepareSql(Approach approach,
@@ -216,220 +225,86 @@ Result<PreparedQuery> Session::PrepareSql(Approach approach,
   return Prepare(approach, q);
 }
 
-Result<std::vector<PreparedQuery>> Session::PrepareBatch(
-    Approach approach, const std::vector<QueryOptions>& queries) {
-  std::vector<PreparedQuery> prepared;
-  prepared.reserve(queries.size());
-  for (const QueryOptions& q : queries) {
-    STACCATO_ASSIGN_OR_RETURN(PreparedQuery pq, Prepare(approach, q));
-    prepared.push_back(std::move(pq));
-  }
-  return prepared;
-}
-
-Result<std::vector<std::vector<Answer>>> Session::ExecuteBatch(
-    const std::vector<PreparedQuery*>& queries, BatchStats* stats) {
-  if (sdb_ != nullptr) return ExecuteBatchSharded(queries, stats);
-  Timer timer;
-  if (stats != nullptr) {
-    *stats = BatchStats{};
-    stats->per_query.assign(queries.size(), QueryStats{});
-  }
-  PlanContext ctx = db_->MakePlanContext();
-  std::vector<BatchItem> items;
-  std::vector<char> adopted(queries.size(), 0);
-  items.reserve(queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    PreparedQuery* pq = queries[i];
-    if (pq == nullptr) {
-      return Status::InvalidArgument("null PreparedQuery in batch");
-    }
-    if (pq->db_ != db_) {
-      return Status::InvalidArgument(
-          "batch contains a query prepared against a different database");
-    }
-    adopted[i] = pq->AdoptSharedCache(ctx.load_generation) ? 1 : 0;
-    items.push_back({&pq->plan_, &pq->dfa_, &pq->cache_,
-                     stats != nullptr ? &stats->per_query[i] : nullptr});
-  }
-  Result<std::vector<std::vector<Answer>>> result =
-      ExecutePlanBatch(ctx, items, stats);
-  if (result.ok()) {
-    for (size_t i = 0; i < queries.size(); ++i) {
-      queries[i]->PublishSharedCache(ctx.load_generation);
-      if (stats != nullptr && adopted[i]) {
-        stats->per_query[i].shared_plan_hit = true;
-      }
-    }
-  }
-  if (stats != nullptr) stats->seconds = timer.ElapsedSeconds();
-  return result;
-}
-
-Result<std::vector<std::vector<Answer>>> Session::ExecuteBatchSharded(
-    const std::vector<PreparedQuery*>& queries, BatchStats* stats) {
-  Timer timer;
-  const size_t num_shards = sdb_->num_shards();
-  const size_t num_queries = queries.size();
-  if (stats != nullptr) {
-    *stats = BatchStats{};
-    stats->per_query.assign(num_queries, QueryStats{});
-  }
-  for (PreparedQuery* pq : queries) {
-    if (pq == nullptr) {
-      return Status::InvalidArgument("null PreparedQuery in batch");
-    }
-    if (pq->sdb_ != sdb_) {
-      return Status::InvalidArgument(
-          "batch contains a query prepared against a different database");
-    }
-  }
-  // Plan contexts first, id-map snapshot second: Append publishes its map
-  // extension before touching the owning shard, so every document a
-  // context can see is translatable (same ordering as ExecuteSharded).
-  std::vector<PlanContext> ctxs(num_shards);
-  for (size_t s = 0; s < num_shards; ++s) {
-    ctxs[s] = sdb_->shard(s)->MakePlanContext();
-  }
-  std::shared_ptr<const ShardMap> map = sdb_->map_snapshot();
-  // One forwarded threshold per logical query: every shard's copy of that
-  // query offers into (and prunes against) the same global k-th best,
-  // exactly as in solo scatter-gather. With forwarding off each shard's
-  // batch falls back to its own query-local thresholds.
-  std::deque<TopKThreshold> thresholds;
-  std::vector<TopKThreshold*> forwarded(num_queries, nullptr);
-  if (sdb_->forward_threshold()) {
-    for (size_t i = 0; i < num_queries; ++i) {
-      thresholds.emplace_back(queries[i]->plan_.num_ans);
-      forwarded[i] = &thresholds.back();
-    }
-  }
-  std::vector<std::vector<QueryStats>> shard_query_stats(
-      num_shards, std::vector<QueryStats>(num_queries));
-  std::vector<std::vector<std::vector<Answer>>> shard_results(num_shards);
-  std::vector<BatchStats> shard_batch_stats(num_shards);
-  // Per-shard Status capture (lambda always returns OK): the first
-  // failing shard in shard order is what the caller sees, not whichever
-  // failure happened to race into the pool's error slot first.
-  std::vector<Status> shard_status(num_shards);
-  STACCATO_RETURN_NOT_OK(ParallelFor(num_shards, 1, [&](size_t s) -> Status {
-    std::vector<BatchItem> items;
-    items.reserve(num_queries);
-    for (size_t i = 0; i < num_queries; ++i) {
-      PreparedQuery* pq = queries[i];
-      items.push_back({&pq->shard_plans_[s], &pq->dfa_, &pq->shard_caches_[s],
-                       &shard_query_stats[s][i], forwarded[i]});
-    }
-    Result<std::vector<std::vector<Answer>>> r =
-        ExecutePlanBatch(ctxs[s], items, &shard_batch_stats[s]);
-    if (r.ok()) {
-      shard_results[s] = std::move(r).ValueUnsafe();
-    } else {
-      shard_status[s] = r.status();
-    }
-    return Status::OK();
-  }));
-  for (size_t s = 0; s < num_shards; ++s) {
-    STACCATO_RETURN_NOT_OK(shard_status[s]);
-  }
-  std::vector<std::vector<Answer>> out(num_queries);
-  for (size_t i = 0; i < num_queries; ++i) {
-    std::vector<Answer> merged;
-    std::vector<QueryStats> per_shard(num_shards);
-    for (size_t s = 0; s < num_shards; ++s) {
-      STACCATO_RETURN_NOT_OK(
-          GatherShardAnswers(*map, s, shard_results[s][i], &merged));
-      per_shard[s] = shard_query_stats[s][i];
-    }
-    out[i] = RankAnswers(std::move(merged), queries[i]->plan_.num_ans);
-    if (stats != nullptr) {
-      FoldShardStats(per_shard, map->total, &stats->per_query[i]);
-    }
-  }
-  if (stats != nullptr) {
-    stats->queries = num_queries;
-    for (size_t s = 0; s < num_shards; ++s) {
-      const BatchStats& bs = shard_batch_stats[s];
-      stats->kmap_scan_passes += bs.kmap_scan_passes;
-      stats->distinct_docs_fetched += bs.distinct_docs_fetched;
-      stats->total_candidates += bs.total_candidates;
-      stats->fetch_threads = std::max(stats->fetch_threads, bs.fetch_threads);
-      stats->eval_threads = std::max(stats->eval_threads, bs.eval_threads);
-      stats->eval_pruned += bs.eval_pruned;
-      stats->eval_steps_saved += bs.eval_steps_saved;
-      stats->cache_hits += bs.cache_hits;
-      stats->cache_misses += bs.cache_misses;
-      stats->cache_bytes += bs.cache_bytes;
-    }
-    stats->seconds = timer.ElapsedSeconds();
-  }
-  return out;
-}
-
-Result<std::vector<Answer>> PreparedQuery::ExecuteSharded(
+Result<std::vector<Answer>> PreparedQuery::ScatterGather(
     QueryControl* control, QueryStats* stats, telemetry::QueryTrace* trace) {
-  Timer timer;
-  const size_t num_shards = sdb_->num_shards();
-  // The scatter span: one child span per shard, so cross-shard skew shows
-  // up in the trace the same way it does in the "Shards:" lines.
+  const size_t n = parts_.size();
+  // The scatter span: one child span per partition, so cross-shard skew
+  // shows up in the trace the same way it does in the "Shards:" lines.
   telemetry::ScopedSpan scatter_span(trace, "Scatter");
-  // Plan contexts first, id-map snapshot second (see ExecuteBatchSharded).
-  std::vector<PlanContext> ctxs(num_shards);
-  for (size_t s = 0; s < num_shards; ++s) {
-    ctxs[s] = sdb_->shard(s)->MakePlanContext();
+  // Plan contexts first, id-map snapshot second: ShardedDb::Append
+  // publishes its map extension before touching the owning shard, so
+  // every document a context can see is translatable.
+  std::vector<PlanContext> ctxs(n);
+  for (size_t s = 0; s < n; ++s) {
+    ctxs[s] = parts_[s].db->MakePlanContext();
     ctxs[s].control = control;  // one budget, shared across every shard
     ctxs[s].trace = trace;
   }
-  std::shared_ptr<const ShardMap> map = sdb_->map_snapshot();
+  std::shared_ptr<const ShardMap> map =
+      sharded_ != nullptr ? sharded_->map_snapshot() : nullptr;
   // The forwarded global bound: every shard's Eval offers its answers
   // here and prunes against the global k-th best, so selective queries
   // kill candidates on one shard with answers found on another. Local
-  // fallback when forwarding is ablated off.
-  TopKThreshold global_topk(plan_.num_ans);
+  // fallback when forwarding is ablated off (and on one partition, where
+  // the local bound is the global one).
+  TopKThreshold global_topk(plan().num_ans);
   TopKThreshold* forwarded =
-      sdb_->forward_threshold() ? &global_topk : nullptr;
-  std::vector<QueryStats> per_shard(num_shards);
-  std::vector<std::vector<Answer>> shard_answers(num_shards);
-  // Every shard records its own Status and the lambda always returns OK,
-  // so (a) a failing shard never tears down its siblings mid-eval and
+      sharded_ != nullptr && sharded_->forward_threshold() ? &global_topk
+                                                           : nullptr;
+  std::vector<QueryStats> per_part(stats != nullptr ? n : 0);
+  std::vector<std::vector<Answer>> part_answers(n);
+  std::vector<char> adopted(n, 0);
+  // Every partition records its own Status and the lambda always returns
+  // OK, so (a) a failing shard never tears down its siblings mid-eval and
   // (b) the gather below surfaces the FIRST failing shard's Status in
   // shard order — deterministic, where propagating through the pool's
   // first-error capture would surface whichever failure raced first.
-  std::vector<Status> shard_status(num_shards);
-  STACCATO_RETURN_NOT_OK(ParallelFor(num_shards, 1, [&](size_t s) -> Status {
+  std::vector<Status> part_status(n);
+  STACCATO_RETURN_NOT_OK(ParallelFor(n, 1, [&](size_t s) -> Status {
     telemetry::ScopedSpan shard_span(trace, StringPrintf("shard-%zu", s),
                                      scatter_span.id());
     ctxs[s].trace_parent = shard_span.id();
+    const uint64_t generation = ctxs[s].load_generation;
+    adopted[s] = AdoptSharedCache(s, generation) ? 1 : 0;
+    QueryStats* part_stats = stats != nullptr ? &per_part[s] : nullptr;
     Result<std::vector<Answer>> r =
-        ExecutePlan(ctxs[s], shard_plans_[s], dfa_, &per_shard[s],
-                    &shard_caches_[s], forwarded);
+        ExecutePlan(ctxs[s], parts_[s].plan, dfa_, part_stats,
+                    &parts_[s].cache, forwarded);
     if (r.ok()) {
-      shard_answers[s] = std::move(r).ValueUnsafe();
+      PublishSharedCache(s, generation);
+      part_answers[s] = std::move(r).ValueUnsafe();
     } else {
-      shard_status[s] = r.status();
+      part_status[s] = r.status();
     }
+    // After ExecutePlan: its stats prologue resets every run-scoped
+    // field, this one included.
+    if (part_stats != nullptr) part_stats->shared_plan_hit = adopted[s] != 0;
     return Status::OK();
   }));
-  // Gather: remap shard-local doc ids to global ones and re-rank. Each
-  // shard already returned its own ranked top num_ans, and the global
+  if (std::find(adopted.begin(), adopted.end(), 1) != adopted.end()) {
+    shared_->hits.fetch_add(1, std::memory_order_relaxed);
+  }
+  // Gather: remap local doc ids to global ones and re-rank. Each
+  // partition already returned its own ranked top num_ans, and the global
   // top num_ans is a subset of their union, so one RankAnswers over the
-  // concatenation reproduces the 1-shard answer bit for bit. The budget
-  // is polled once per shard here (the gather cancellation point); a cut
+  // concatenation reproduces the 1-shard answer bit for bit (and, being a
+  // total order, leaves one partition's list as it is). The budget is
+  // polled once per partition here (the gather cancellation point); a cut
   // only stops *new* work, so already-computed answers still merge.
   telemetry::ScopedSpan gather_span(trace, "Gather");
   std::vector<Answer> merged;
-  for (size_t s = 0; s < num_shards; ++s) {
-    STACCATO_RETURN_NOT_OK(shard_status[s]);
+  for (size_t s = 0; s < n; ++s) {
+    STACCATO_RETURN_NOT_OK(part_status[s]);
     if (control != nullptr && !control->allow_partial()) {
       STACCATO_RETURN_NOT_OK(control->Check());
     }
     STACCATO_RETURN_NOT_OK(
-        GatherShardAnswers(*map, s, shard_answers[s], &merged));
+        GatherShardAnswers(map.get(), s, part_answers[s], &merged));
   }
-  std::vector<Answer> ranked = RankAnswers(std::move(merged), plan_.num_ans);
+  std::vector<Answer> ranked = RankAnswers(std::move(merged), plan().num_ans);
   if (stats != nullptr) {
-    FoldShardStats(per_shard, map->total, stats);
-    stats->seconds = timer.ElapsedSeconds();
+    FoldShardStats(per_part, map != nullptr ? map->total : ctxs[0].num_sfas,
+                   stats);
   }
   return ranked;
 }
@@ -440,15 +315,14 @@ Result<std::vector<Answer>> PreparedQuery::Execute(QueryStats* stats) {
 
 Result<std::vector<Answer>> PreparedQuery::Execute(QueryControl* control,
                                                    QueryStats* stats) {
-  Result<std::vector<Answer>> result = Status::Internal("unreachable");
   Timer timer;
   const uint64_t start_ns = telemetry::MonotonicNanos();
   // Tracing is an observer only: `trace` stays null unless this query's
   // session turned it on, and nothing below ever *reads* it, so answers
   // are bit-identical either way (telemetry_test pins this down).
   std::shared_ptr<telemetry::QueryTrace> trace;
-  if (tracer_ != nullptr && tracer_->enabled()) {
-    trace = telemetry::QueryTrace::Make(plan_.pattern);
+  if (tracer_->enabled()) {
+    trace = telemetry::QueryTrace::Make(plan().pattern);
     if (control != nullptr && control->admission_wait_ns() > 0) {
       // Measured by the service before Execute began; backdate the span
       // so the trace timeline starts at "entered the admission queue".
@@ -456,21 +330,8 @@ Result<std::vector<Answer>> PreparedQuery::Execute(QueryControl* control,
                      start_ns);
     }
   }
-  if (sdb_ != nullptr) {
-    result = ExecuteSharded(control, stats, trace.get());
-  } else {
-    PlanContext ctx = db_->MakePlanContext();
-    ctx.control = control;
-    ctx.trace = trace.get();
-    const bool adopted = AdoptSharedCache(ctx.load_generation);
-    result = ExecutePlan(ctx, plan_, dfa_, stats, &cache_);
-    if (result.ok()) PublishSharedCache(ctx.load_generation);
-    if (stats != nullptr) {
-      // Set after ExecutePlan: its stats prologue resets every run-scoped
-      // field, this one included.
-      stats->shared_plan_hit = adopted;
-    }
-  }
+  Result<std::vector<Answer>> result =
+      ScatterGather(control, stats, trace.get());
   if (stats != nullptr) {
     if (control != nullptr) {
       // One write at the top level: per-shard stats must not fold this
@@ -494,22 +355,13 @@ Result<std::vector<Answer>> PreparedQuery::Execute(QueryControl* control,
   if (slow.ShouldLog(wall_ns / 1000000)) {
     std::string entry = StringPrintf(
         "--- slow query: %.1f ms, pattern \"%s\", status %s\n",
-        static_cast<double>(wall_ns) / 1e6, plan_.pattern.c_str(),
+        static_cast<double>(wall_ns) / 1e6, plan().pattern.c_str(),
         result.ok() ? "ok" : result.status().ToString().c_str());
-    if (stats != nullptr) {
-      entry += ExplainPlan(plan_, *stats);
-    } else {
-      entry += ExplainPlan(plan_);
-    }
+    entry += stats != nullptr ? ExplainPlan(plan(), *stats) : Explain();
     if (trace != nullptr) entry += telemetry::RenderTrace(*trace);
     slow.Append(entry);
   }
   return result;
-}
-
-Result<Cursor> PreparedQuery::Open(QueryStats* stats) {
-  STACCATO_ASSIGN_OR_RETURN(std::vector<Answer> answers, Execute(stats));
-  return Cursor(std::move(answers));
 }
 
 }  // namespace staccato::rdbms

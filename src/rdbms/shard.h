@@ -26,9 +26,10 @@
 //
 // Ingest routes Append to the owning shard (per-shard WAL + delta);
 // Checkpoint and BuildInvertedIndex run shard-parallel. Session /
-// PreparedQuery / ExecuteBatch sit on top unchanged in API — construct a
-// Session from a ShardedDb and the prepared-query surface transparently
-// plans per shard and scatter-gathers each Execute.
+// PreparedQuery sit on top unchanged in API — construct a Session from a
+// ShardedDb and the prepared-query surface plans per shard and runs each
+// Execute through the same scatter-gather as a single StaccatoDb (which
+// is one partition), including the session's shared plan-cache table.
 //
 // Caveat: global doc ids are stable across shard counts (DocName / Year
 // equality predicates are shard-invariant), but the *DataKey / SFANum

@@ -2,8 +2,8 @@
 // ThreadPool plus ParallelFor/ParallelMap helpers built on it.
 //
 // Every parallel stage in the system — Load-time Staccato construction,
-// the executor's Fetch and Eval fan-out, and batched multi-query
-// execution — schedules through this pool instead of spawning its own
+// the executor's Fetch and Eval fan-out, and the scatter of a query over
+// its shards — schedules through this pool instead of spawning its own
 // std::thread workers. Work is claimed from a shared atomic cursor in
 // chunks of `grain` indices and results are written positionally, so the
 // output of a parallel region is bit-identical to running it serially,

@@ -214,7 +214,6 @@ TEST_P(EvaluatorAgreement, WideDfaBoundedKernelsMatchReference) {
   EvalScratch scratch;  // shared across every case, like a worker's
   for (const Sfa* s : {&*sfa, &*approx}) {
     const std::string blob = s->Serialize();
-    const SfaEvalInfo info = ComputeSfaEvalInfo(*s);
     for (const auto& w : kWide) {
       auto dfa = Dfa::Compile(w.pat, MatchMode::kContains);
       ASSERT_TRUE(dfa.ok());
@@ -224,8 +223,8 @@ TEST_P(EvaluatorAgreement, WideDfaBoundedKernelsMatchReference) {
 
       // Object kernel at threshold 0 is the dense reference, to the bit.
       EvalBound object_bound;
-      const double object = EvalSfaQueryBounded(*s, *dfa, 0.0, info,
-                                                &scratch, &object_bound);
+      const double object =
+          EvalSfaQueryBounded(*s, *dfa, 0.0, &scratch, &object_bound);
       EXPECT_EQ(object, reference) << w.pat;
       EXPECT_FALSE(object_bound.pruned);
       EXPECT_EQ(object_bound.steps, CountEvalWork(*s, *dfa));

@@ -4,9 +4,9 @@
 // to the single-partition StaccatoDb holding the same dataset — the same
 // ranked documents with exactly equal probabilities — for every shard
 // count (1/2/4/7), eval thread count (1/4/8), early-stop setting, and
-// threshold-forwarding setting, including Append/Checkpoint interleavings,
-// reopen with per-shard WAL replay, and batched execution. Concurrent
-// Executes race against Append under the TSan CI job.
+// threshold-forwarding setting, including Append/Checkpoint interleavings
+// and reopen with per-shard WAL replay. Concurrent Executes race against
+// Append under the TSan CI job.
 
 #include <gtest/gtest.h>
 
@@ -265,98 +265,70 @@ TEST_F(ShardTest, ReopenReplaysEveryShardWal) {
   }
 }
 
-TEST_F(ShardTest, ExecuteBatchMatchesSoloExecutes) {
-  auto db = ShardedDb::Open(eval::MakeScratchDir("shard_batch"),
-                            ShardConfig{4, cache::CacheConfig()});
-  ASSERT_TRUE(db.ok()) << db.status().ToString();
-  ASSERT_TRUE((*db)->Load(*dataset_, SmallLoad()).ok());
-  Session session(db->get(), SessionOptions{2, 50});
-  std::vector<QueryOptions> qs;
-  for (const std::string& pat : Patterns()) {
-    QueryOptions q;
-    q.pattern = pat;
-    q.num_ans = 50;
-    qs.push_back(q);
+/// The fold invariant: per-shard rows carry every counter the top-level
+/// totals are made of, in shard order.
+void ExpectRowsSumToTotals(const QueryStats& st, const std::string& what) {
+  uint64_t blob = 0, pages = 0, hits = 0, misses = 0;
+  for (size_t s = 0; s < st.shards.size(); ++s) {
+    const ShardStats& row = st.shards[s];
+    EXPECT_EQ(row.shard, s) << what;
+    blob += row.blob_bytes_read;
+    pages += row.heap_pages_read;
+    hits += row.cache_hits;
+    misses += row.cache_misses;
   }
-  auto prepared = session.PrepareBatch(Approach::kStaccato, qs);
-  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
-  std::vector<PreparedQuery*> ptrs;
-  for (PreparedQuery& pq : *prepared) ptrs.push_back(&pq);
-  BatchStats bstats;
-  auto batched = session.ExecuteBatch(ptrs, &bstats);
-  ASSERT_TRUE(batched.ok()) << batched.status().ToString();
-  ASSERT_EQ(batched->size(), qs.size());
-  EXPECT_EQ(bstats.queries, qs.size());
-  for (size_t i = 0; i < qs.size(); ++i) {
-    auto solo = RunQuery(db->get(), Approach::kStaccato, qs[i].pattern, 2,
-                         true);
-    ExpectSameAnswers(solo, (*batched)[i], "batch member " + qs[i].pattern);
-    EXPECT_EQ(bstats.per_query[i].shards.size(), 4u);
+  // A row set that sums to zero while the top-level counters are non-zero
+  // is precisely the dropped-counters bug.
+  if (st.blob_bytes_read > 0) {
+    EXPECT_GT(blob, 0u) << what;
   }
+  if (st.heap_pages_read > 0) {
+    EXPECT_GT(pages, 0u) << what;
+  }
+  EXPECT_EQ(st.blob_bytes_read, blob) << what;
+  EXPECT_EQ(st.heap_pages_read, pages) << what;
+  EXPECT_EQ(st.cache_hits, hits) << what;
+  EXPECT_EQ(st.cache_misses, misses) << what;
 }
 
-// Regression: the batch path used to fold per-shard stats through its own
-// ad-hoc loop that dropped the cache/io counters from the ShardStats rows.
-// Both solo ExecuteSharded and ExecuteBatchSharded now route through the
-// one audited FoldShardStats, so the batch rows must carry the same
-// counter set the solo rows do.
-TEST_F(ShardTest, BatchFoldPreservesPerShardCounters) {
+// Regression: per-shard stats were once folded by an ad-hoc loop that
+// dropped the cache/io counters from the ShardStats rows. Every Execute
+// now folds through the one FoldShardStats, so the rows must carry the
+// counters the totals are made of — cold and warm on N shards, and on a
+// single StaccatoDb, which is one partition with one row.
+TEST_F(ShardTest, FoldPreservesPerShardCounters) {
   auto db = ShardedDb::Open(eval::MakeScratchDir("shard_fold"),
                             ShardConfig{4, cache::CacheConfig()});
   ASSERT_TRUE(db.ok()) << db.status().ToString();
   ASSERT_TRUE((*db)->Load(*dataset_, SmallLoad()).ok());
-  Session session(db->get(), SessionOptions{2, 50});
-  QueryOptions q;
-  q.pattern = Patterns()[0];
-  q.num_ans = 50;
-  // Solo run: the oracle for which row fields must be populated.
-  QueryStats solo_stats;
-  (void)RunQuery(db->get(), Approach::kStaccato, q.pattern, 2, true,
-                 &solo_stats);
-  ASSERT_EQ(solo_stats.shards.size(), 4u);
-  // Batch of one: same plan, batch fold path.
-  auto prepared = session.PrepareBatch(Approach::kStaccato, {q});
-  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
-  std::vector<PreparedQuery*> ptrs = {&(*prepared)[0]};
-  BatchStats bstats;
-  auto batched = session.ExecuteBatch(ptrs, &bstats);
-  ASSERT_TRUE(batched.ok()) << batched.status().ToString();
-  ASSERT_EQ(bstats.per_query.size(), 1u);
-  const QueryStats& bq = bstats.per_query[0];
-  ASSERT_EQ(bq.shards.size(), 4u);
-  uint64_t solo_blob = 0, batch_blob = 0, solo_pages = 0, batch_pages = 0;
+  const std::string pattern = Patterns()[0];
+  QueryStats cold;
+  (void)RunQuery(db->get(), Approach::kStaccato, pattern, 2, true, &cold);
+  ASSERT_EQ(cold.shards.size(), 4u);
+  ExpectRowsSumToTotals(cold, "cold");
+  // The warm run is served (partly) from the cache the cold run filled;
+  // its rows must still sum to its own totals, shard by shard.
+  QueryStats warm;
+  (void)RunQuery(db->get(), Approach::kStaccato, pattern, 2, true, &warm);
+  ASSERT_EQ(warm.shards.size(), 4u);
+  ExpectRowsSumToTotals(warm, "warm");
   for (size_t s = 0; s < 4; ++s) {
-    EXPECT_EQ(bq.shards[s].shard, s);
-    EXPECT_EQ(bq.shards[s].candidates, solo_stats.shards[s].candidates)
+    EXPECT_EQ(warm.shards[s].candidates, cold.shards[s].candidates)
         << "shard " << s;
-    solo_blob += solo_stats.shards[s].blob_bytes_read;
-    batch_blob += bq.shards[s].blob_bytes_read;
-    solo_pages += solo_stats.shards[s].heap_pages_read;
-    batch_pages += bq.shards[s].heap_pages_read;
   }
-  // The solo run did physical work (cold DB); the batch rows must report
-  // the same classes of counters rather than silently dropping them.
-  // Exact equality is not required (the solo run warmed the cache), but a
-  // batch row set that sums to zero while the top-level counters are
-  // non-zero is precisely the dropped-counters bug.
-  if (bq.blob_bytes_read > 0) EXPECT_GT(batch_blob, 0u);
-  if (bq.heap_pages_read > 0) EXPECT_GT(batch_pages, 0u);
-  // Cross-check the fold itself: top-level totals equal the row sums.
-  EXPECT_EQ(bq.blob_bytes_read, batch_blob);
-  EXPECT_EQ(bq.heap_pages_read, batch_pages);
-  uint64_t row_hits = 0, row_misses = 0;
-  for (const ShardStats& row : bq.shards) {
-    row_hits += row.cache_hits;
-    row_misses += row.cache_misses;
-  }
-  EXPECT_EQ(bq.cache_hits, row_hits);
-  EXPECT_EQ(bq.cache_misses, row_misses);
-  // Solo totals fold identically (both paths share FoldShardStats).
-  uint64_t solo_row_hits = 0;
-  for (const ShardStats& row : solo_stats.shards) solo_row_hits += row.cache_hits;
-  EXPECT_EQ(solo_stats.cache_hits, solo_row_hits);
-  (void)solo_blob;
-  (void)solo_pages;
+
+  QueryStats single;
+  (void)RunQuery(oracle_, Approach::kStaccato, pattern, 2, true, &single);
+  ASSERT_EQ(single.shards.size(), 1u);
+  ExpectRowsSumToTotals(single, "single partition");
+  const ShardStats& row = single.shards[0];
+  EXPECT_EQ(row.candidates, single.candidates);
+  EXPECT_EQ(row.eval_pruned, single.eval_pruned);
+  EXPECT_EQ(row.eval_steps_saved, single.eval_steps_saved);
+  EXPECT_EQ(row.est_cost, single.est_cost);
+  EXPECT_EQ(single.selectivity,
+            static_cast<double>(single.candidates) /
+                static_cast<double>(oracle_->NumSfas()));
 }
 
 TEST_F(ShardTest, ConcurrentExecutesRaceAppendsSafely) {

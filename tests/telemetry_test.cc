@@ -351,11 +351,17 @@ TEST_F(TelemetryEndToEndTest, TracingIsAnswerNeutralAcrossTheMatrix) {
           // The traced run carried its span tree out through the stats.
           ASSERT_NE(on_stats.trace, nullptr);
           EXPECT_FALSE(on_stats.trace->spans().empty());
-          if (shards > 1) {
-            const std::string text = RenderTrace(*on_stats.trace);
-            EXPECT_NE(text.find("Scatter"), std::string::npos);
-            EXPECT_NE(text.find("shard-0"), std::string::npos);
-          }
+          // One span shape for every shard count: Scatter, its shard
+          // children, then Gather.
+          const std::string text = RenderTrace(*on_stats.trace);
+          const size_t scatter = text.find("Scatter");
+          const size_t shard0 = text.find("shard-0");
+          const size_t gather = text.find("Gather");
+          ASSERT_NE(scatter, std::string::npos) << text;
+          ASSERT_NE(shard0, std::string::npos) << text;
+          ASSERT_NE(gather, std::string::npos) << text;
+          EXPECT_LT(scatter, shard0) << text;
+          EXPECT_LT(shard0, gather) << text;
         }
       }
     }

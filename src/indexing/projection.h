@@ -20,8 +20,13 @@ std::vector<NodeId> ProjectNodes(const Sfa& sfa, NodeId from, size_t max_edges);
 /// with unit mass at `from`. Returns the conditional probability that the
 /// pattern matches within the region given that a path reaches `from` —
 /// an (over)estimate of the term's contribution, consistent with the
-/// paper's use of projection as an I/O optimization.
+/// paper's use of projection as an I/O optimization. The SfaView overload
+/// (what the executor runs on a cached image) is the same template over
+/// the graph adapters of sfa/sfa_graph.h, so the two return bit-identical
+/// doubles.
 double EvalProjected(const Sfa& sfa, const Dfa& dfa, NodeId from,
+                     size_t max_edges);
+double EvalProjected(const SfaView& view, const Dfa& dfa, NodeId from,
                      size_t max_edges);
 
 /// Bytes of SFA data covered by the projection (labels + metadata of edges

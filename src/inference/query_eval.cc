@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <string_view>
 
+#include "sfa/sfa_graph.h"
+
 namespace staccato {
 
 namespace {
@@ -209,73 +211,6 @@ double EvalBoundedImpl(const G& g, const Dfa& dfa, double threshold,
   // Guard against accumulated floating point drift above 1.
   return p > 1.0 ? 1.0 : p;
 }
-
-/// Graph adapter over the deserialized Sfa object graph.
-struct SfaGraph {
-  const Sfa& sfa;
-  bool mass_safe;
-  uint64_t label_chars;
-
-  size_t NumNodes() const { return sfa.NumNodes(); }
-  NodeId start() const { return sfa.start(); }
-  NodeId final() const { return sfa.final(); }
-  const std::vector<NodeId>& Topo() const { return sfa.TopologicalOrder(); }
-  bool MassBoundSafe() const { return mass_safe; }
-  uint64_t TotalLabelChars() const { return label_chars; }
-
-  template <typename F>
-  void ForEachOutTransition(NodeId n, F&& f) const {
-    for (EdgeId eid : sfa.OutEdges(n)) {
-      const Edge& e = sfa.edge(eid);
-      for (const Transition& t : e.transitions) {
-        f(e.to, std::string_view(t.label), t.prob);
-      }
-    }
-  }
-};
-
-/// The object-graph adapter with its per-Sfa invariants — total label
-/// chars (for steps accounting) and mass-bound safety — computed by two
-/// O(transitions) sweeps.
-SfaGraph MakeSfaGraph(const Sfa& sfa) {
-  uint64_t label_chars = 0;
-  for (const Edge& e : sfa.edges()) {
-    for (const Transition& t : e.transitions) label_chars += t.label.size();
-  }
-  // The bound is only an upper bound when no node amplifies mass.
-  bool mass_safe = true;
-  for (NodeId n = 0; n < sfa.NumNodes() && mass_safe; ++n) {
-    double sum = 0.0;
-    for (EdgeId eid : sfa.OutEdges(n)) {
-      for (const Transition& t : sfa.edge(eid).transitions) sum += t.prob;
-    }
-    if (sum > 1.0 + 1e-6) mass_safe = false;
-  }
-  return SfaGraph{sfa, mass_safe, label_chars};
-}
-
-/// Graph adapter over the flat blob view.
-struct ViewGraph {
-  const SfaView& view;
-
-  size_t NumNodes() const { return view.NumNodes(); }
-  NodeId start() const { return view.start(); }
-  NodeId final() const { return view.final(); }
-  const std::vector<NodeId>& Topo() const { return view.TopologicalOrder(); }
-  bool MassBoundSafe() const { return view.MassBoundSafe(); }
-  uint64_t TotalLabelChars() const { return view.TotalLabelChars(); }
-
-  template <typename F>
-  void ForEachOutTransition(NodeId n, F&& f) const {
-    for (const EdgeId* it = view.out_begin(n); it != view.out_end(n); ++it) {
-      const ViewEdge& e = view.edge(*it);
-      for (uint32_t t = 0; t < e.num_transitions; ++t) {
-        const ViewTransition& tr = view.transition(e.first_transition + t);
-        f(e.to, tr.label, tr.prob);
-      }
-    }
-  }
-};
 
 }  // namespace
 

@@ -26,8 +26,9 @@
 //    the top-k, which is what keeps ranked answers bit-identical for any
 //    thread count and any candidate visit order. The serialized-blob
 //    bounded kernel decodes through SfaView into a caller-owned EvalScratch
-//    arena, so a warm worker evaluates candidates with zero heap
-//    allocations.
+//    arena, and the executor's warm path attaches an SfaView to a cached
+//    image instead; either way a warm worker evaluates candidates with
+//    zero heap allocations.
 #pragma once
 
 #include <string>
@@ -99,7 +100,8 @@ double EvalSfaQueryBounded(const Sfa& sfa, const Dfa& dfa, double threshold,
                            EvalScratch* scratch = nullptr,
                            EvalBound* bound = nullptr);
 
-/// The bounded kernel over an already-decoded view. Bit-identical to
+/// The bounded kernel over a view — decoded into an arena, or attached to
+/// the cached image of a blob (what a warm query runs). Bit-identical to
 /// EvalSfaQuery on the blob's deserialized Sfa when it does not prune.
 double EvalSfaViewBounded(const SfaView& view, const Dfa& dfa,
                           double threshold, EvalScratch* scratch,

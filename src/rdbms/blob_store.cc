@@ -124,7 +124,8 @@ Result<cache::BufferCache::Handle> BlobStore::GetCached(
 
 Result<cache::BufferCache::Handle> BlobStore::GetCached(
     const cache::CacheKey& key,
-    const std::function<Result<BlobId>()>& resolve_id) {
+    const std::function<Result<BlobId>()>& resolve_id,
+    const CacheDecoder& decode) {
   if (cache_ != nullptr) {
     if (cache::BufferCache::Handle h = cache_->Lookup(key)) {
       reads_.fetch_add(1, std::memory_order_relaxed);
@@ -136,11 +137,18 @@ Result<cache::BufferCache::Handle> BlobStore::GetCached(
   STACCATO_ASSIGN_OR_RETURN(BlobId id, resolve_id());
   std::string data;
   STACCATO_RETURN_NOT_OK(GetInto(id, &data));  // counts reads/bytes_read
+  if (cache_ != nullptr) {
+    cache_misses_.fetch_add(1, std::memory_order_relaxed);
+    lifetime_misses_.fetch_add(1, std::memory_order_relaxed);
+  }
+  // A value that fails to decode never reaches the cache, so the next
+  // read of the key fails the same way instead of serving a stale entry.
+  if (decode) {
+    STACCATO_ASSIGN_OR_RETURN(data, decode(data));
+  }
   if (cache_ == nullptr) {
     return cache::BufferCache::Detached(std::move(data));
   }
-  cache_misses_.fetch_add(1, std::memory_order_relaxed);
-  lifetime_misses_.fetch_add(1, std::memory_order_relaxed);
   return cache_->Insert(key, std::move(data));
 }
 

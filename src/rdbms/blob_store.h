@@ -12,8 +12,9 @@
 //
 // Cache-aware reads: attach a shared BufferCache with set_cache and read
 // through GetCached, keyed on (representation, doc, load_generation) via
-// BlobCacheKey. A hit pins the cached bytes (no heap-table access, no
-// pread); a miss reads from disk and installs the blob under the key.
+// BlobCacheKey. A hit pins the cached value (no heap-table access, no
+// pread); a miss reads from disk and installs the blob — or, given a
+// decoder, what the decoder makes of it — under the key.
 // Because the key carries the database's load generation, Load /
 // BuildInvertedIndex invalidation falls out of the existing generation
 // bump — stale entries are simply never matched again.
@@ -24,6 +25,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "cache/buffer_cache.h"
 #include "util/mutex.h"
@@ -94,13 +96,23 @@ class BlobStore {
   Result<cache::BufferCache::Handle> GetCached(BlobId id,
                                                const cache::CacheKey& key);
 
+  /// Turns the wire bytes a miss read into the value the cache keeps (the
+  /// executor passes DecodeSfaImage, so its cache entries are decoded SFA
+  /// images). Its failure is returned as is and nothing is cached.
+  using CacheDecoder =
+      std::function<Result<std::string>(std::string_view wire)>;
+
   /// GetCached for callers whose blob id itself costs a lookup (the
   /// executor resolves it with a heap point get): `resolve_id` runs only
-  /// on a cache miss, so a hit serves the pinned bytes with no heap-table
-  /// access and no pread at all.
+  /// on a cache miss, so a hit serves the pinned value with no heap-table
+  /// access and no pread at all. With a `decode`, a miss caches (or, with
+  /// no cache attached, hands back detached) `decode(wire bytes)` instead
+  /// of the wire bytes, so the transform runs once per miss, never on a
+  /// hit. Every key must always be read with the same decoder.
   Result<cache::BufferCache::Handle> GetCached(
       const cache::CacheKey& key,
-      const std::function<Result<BlobId>()>& resolve_id);
+      const std::function<Result<BlobId>()>& resolve_id,
+      const CacheDecoder& decode = nullptr);
 
   /// Attaches the process-shared buffer cache (null detaches). Not
   /// synchronized against concurrent reads: wire it at open/load time.

@@ -29,6 +29,12 @@ struct DeltaDoc {
   std::vector<DeltaKMapRow> kmap;  ///< rank-ascending, like the kmap table
   std::string full_blob;           ///< serialized full SFA (fullsfa blob)
   std::string graph_blob;          ///< serialized chunked SFA (graph blob)
+  /// The two blobs decoded once, when the document is published (Append
+  /// or WAL replay): the SfaView images the executor attaches to, so a
+  /// query never decodes a delta document. The blobs stay because
+  /// Checkpoint persists them.
+  std::string full_image;
+  std::string graph_image;
   /// term string -> packed postings (PackPosting), sorted ascending per
   /// term exactly as BuildInvertedIndex stores them.
   std::map<std::string, std::vector<uint64_t>> postings;

@@ -13,6 +13,7 @@
 #include "inference/query_eval.h"
 #include "rdbms/service.h"
 #include "telemetry/clock.h"
+#include "telemetry/metrics_registry.h"
 #include "util/mutex.h"
 #include "util/parallel.h"
 #include "util/strings.h"
@@ -26,6 +27,16 @@ namespace {
 /// FakeClock makes them deterministic under test.
 double SecondsSince(uint64_t start_ns) {
   return static_cast<double>(telemetry::MonotonicNanos() - start_ns) / 1e9;
+}
+
+/// Process-wide mirror of QueryStats::sfa_decodes: SFA blobs the Fetch
+/// stage decoded (cache misses and cacheless reads; a cache hit or a
+/// delta document attaches to an existing image and counts nothing).
+telemetry::Counter* SfaDecodesCounter() {
+  static telemetry::Counter* const c =
+      telemetry::MetricsRegistry::Global().GetCounter(
+          "staccato_sfa_decodes_total");
+  return c;
 }
 
 /// One cancellation-point poll of the (optional) per-query control block.
@@ -537,6 +548,7 @@ void InitQueryStats(QueryStats* stats, const PlanSpec& plan) {
   stats->candidates_from_cache = false;
   stats->eval_pruned = 0;
   stats->eval_steps_saved = 0;
+  stats->sfa_decodes = 0;
   stats->cache_hits = 0;
   stats->cache_misses = 0;
   stats->cache_bytes = 0;
@@ -761,19 +773,17 @@ struct SfaCandidate {
   size_t est_postings = 0;
 };
 
-/// Projection Eval for one fetched candidate blob: score the region
-/// around each posting start; the best region bounds the match
-/// probability.
-Result<double> EvalProjectedBlob(const std::string& blob,
-                                 const std::vector<uint64_t>& postings,
-                                 const Dfa& dfa, size_t horizon) {
-  STACCATO_ASSIGN_OR_RETURN(Sfa sfa, Sfa::Deserialize(blob));
+/// Projection Eval for one fetched candidate: score the region around
+/// each posting start; the best region bounds the match probability.
+double EvalProjectedView(const SfaView& view,
+                         const std::vector<uint64_t>& postings,
+                         const Dfa& dfa, size_t horizon) {
   double best = 0.0;
   for (uint64_t packed : postings) {
     Posting post = UnpackPosting(packed);
-    if (post.edge >= sfa.NumEdges()) continue;
-    NodeId from = sfa.edge(post.edge).from;
-    best = std::max(best, EvalProjected(sfa, dfa, from, horizon));
+    if (post.edge >= view.NumEdges()) continue;
+    NodeId from = view.edge(post.edge).from;
+    best = std::max(best, EvalProjected(view, dfa, from, horizon));
   }
   return best;
 }
@@ -847,16 +857,20 @@ Result<std::vector<SfaCandidate>> BuildSfaCandidates(
 }
 
 /// SFA Eval, streaming and threshold-pruned: every worker fetches one
-/// candidate's blob into its own reusable buffer (heap point-get + pread;
-/// the storage read paths are concurrent-safe), decodes it through the
-/// flat SfaView into its own EvalScratch arena, and runs the bounded DP
-/// against the running top-k threshold — aborting candidates whose exact
-/// probability upper bound can no longer reach the k-th best answer.
+/// candidate as an SfaView and runs the bounded DP on it against the
+/// running top-k threshold, aborting candidates whose exact probability
+/// upper bound can no longer reach the k-th best answer. The view attaches
+/// in O(1) to the decoded image the buffer cache or the delta document
+/// holds; a cache miss reads the blob (heap point-get + pread; the storage
+/// read paths are concurrent-safe) and decodes it once into the image the
+/// cache keeps; without a cache the blob is decoded into the worker's own
+/// EvalScratch arena.
 /// Candidates are visited in descending posting-count order so the
 /// threshold tightens early; results are gathered positionally, and a
 /// pruned candidate provably cannot enter the top-k, so the ranked
 /// answers are bit-identical for any thread count, visit order, or
-/// early-stop setting. Peak memory is one blob + one DP arena per worker.
+/// early-stop setting. Peak memory is one blob + one DP arena per worker
+/// beyond the cache.
 Result<std::vector<Answer>> ExecuteSfas(const PlanContext& ctx,
                                         const PlanSpec& plan, const Dfa& dfa,
                                         const std::vector<char>& allowed,
@@ -909,9 +923,11 @@ Result<std::vector<Answer>> ExecuteSfas(const PlanContext& ctx,
   struct WorkerState {
     EvalScratch scratch;
     std::string blob;  ///< read buffer for the cacheless path
-    /// Pin on the candidate currently being evaluated (cached path).
-    /// Exactly one per worker: fetching the next candidate releases it.
+    /// Pin on the image of the candidate currently being evaluated
+    /// (cached path). Exactly one per worker: fetching the next candidate
+    /// releases it.
     cache::BufferCache::Handle pin;
+    uint64_t decodes = 0;  ///< blobs this worker decoded
   };
   std::vector<WorkerState> workers(threads);
   std::vector<double> prob(cands.size(), 0.0);
@@ -930,19 +946,15 @@ Result<std::vector<Answer>> ExecuteSfas(const PlanContext& ctx,
     const size_t i = order[v];
     const SfaCandidate& cand = cands[i];
     WorkerState& ws = workers[worker];
-    // Fetch: through the shared buffer cache when the database has one
-    // (the worker pins the cached bytes for the duration of its DP — a
-    // hit skips the heap point get and the pread entirely), via the
-    // reusable per-worker buffer otherwise. Same bytes either way.
-    const std::string* blob = &ws.blob;
+    // Fetch: an SfaView of the candidate. Delta documents and cache hits
+    // attach to an existing image (no heap get, no pread, no decode); a
+    // cache miss reads and decodes once and caches the image; a cacheless
+    // database decodes into the worker's arena. Same view either way.
+    SfaView view;
     auto fetch_once = [&]() -> Status {
       if (ctx.delta.Contains(cand.doc)) {
-        // Appended documents serve their serialized SFA straight from the
-        // delta (no heap get, no pread, no cache entry) — the bytes are
-        // identical to what a checkpoint or rebuild would store.
         const DeltaDoc& d = ctx.delta.Doc(cand.doc);
-        blob = full ? &d.full_blob : &d.graph_blob;
-        return Status::OK();
+        return view.Attach(full ? d.full_image : d.graph_image);
       }
       if (ctx.cache != nullptr) {
         STACCATO_ASSIGN_OR_RETURN(
@@ -956,14 +968,18 @@ Result<std::vector<Answer>> ExecuteSfas(const PlanContext& ctx,
                   STACCATO_ASSIGN_OR_RETURN(Tuple t,
                                             blob_table->Get(rids[cand.doc]));
                   return t[1].AsBlobId();
+                },
+                [&](std::string_view wire) {
+                  ++ws.decodes;
+                  return DecodeSfaImage(wire, &ws.scratch.arena);
                 }));
-        blob = &ws.pin.value();
-        return Status::OK();
+        return view.Attach(ws.pin.value());
       }
       if (cand.doc >= rids.size()) return Status::NotFound("no such DataKey");
       STACCATO_ASSIGN_OR_RETURN(Tuple t, blob_table->Get(rids[cand.doc]));
       STACCATO_RETURN_NOT_OK(ctx.blobs->GetInto(t[1].AsBlobId(), &ws.blob));
-      return Status::OK();
+      ++ws.decodes;
+      return view.Decode(ws.blob, &ws.scratch.arena);
     };
     // Transient blob/heap read failures retry with exponential backoff,
     // bounded by the control's per-query budget; exhaustion (or a
@@ -976,23 +992,20 @@ Result<std::vector<Answer>> ExecuteSfas(const PlanContext& ctx,
     }
     STACCATO_RETURN_NOT_OK(fetched);
     if (ctx.control != nullptr) {
-      ctx.control->AddFetchedBytes(blob->size());
+      ctx.control->AddFetchedBytes(view.WireBytes());
       // Cancellation point: between this candidate's Fetch and its Eval —
       // a deadline or byte budget blown by the fetch stops before the DP.
       STACCATO_RETURN_NOT_OK(PollControl(ctx.control, &cut_now));
       if (cut_now) return Status::OK();
     }
     if (plan.fetch == FetchMethod::kProjection) {
-      STACCATO_ASSIGN_OR_RETURN(
-          prob[i], EvalProjectedBlob(*blob, cand.postings, dfa, horizon));
+      prob[i] = EvalProjectedView(view, cand.postings, dfa, horizon);
       visited[i] = 1;
       return Status::OK();
     }
     EvalBound bound;
     const double threshold = prune ? topk.Get() : 0.0;
-    STACCATO_ASSIGN_OR_RETURN(
-        prob[i], EvalSerializedSfaBounded(*blob, dfa, threshold,
-                                          &ws.scratch, &bound));
+    prob[i] = EvalSfaViewBounded(view, dfa, threshold, &ws.scratch, &bound);
     if (ctx.control != nullptr) ctx.control->AddDpSteps(bound.steps);
     if (bound.pruned) {
       prob[i] = 0.0;
@@ -1021,6 +1034,9 @@ Result<std::vector<Answer>> ExecuteSfas(const PlanContext& ctx,
     ctx.trace->AddSpan("Fetch+Eval", eval_start_ns, eval_end_ns,
                        ctx.trace_parent);
   }
+  uint64_t decodes = 0;
+  for (const WorkerState& ws : workers) decodes += ws.decodes;
+  SfaDecodesCounter()->Increment(decodes);
 
   if (stats != nullptr) {
     stats->stage.fetch_eval_s =
@@ -1040,6 +1056,7 @@ Result<std::vector<Answer>> ExecuteSfas(const PlanContext& ctx,
                                    static_cast<double>(ctx.num_sfas);
     stats->threads_used = threads;
     stats->fetch_threads = threads;  // streamed: fetch rides the eval workers
+    stats->sfa_decodes = decodes;
     for (size_t i = 0; i < cands.size(); ++i) {
       if (was_pruned[i]) {
         ++stats->eval_pruned;
@@ -1148,10 +1165,11 @@ std::string ExplainPlan(const PlanSpec& plan, const QueryStats& stats) {
   std::string out = ExplainPlan(plan);
   out += StringPrintf(
       "  Actual: candidates=%zu (est %zu), threads: fetch=%zu eval=%zu, "
-      "cache: filter=%s candidates=%s\n",
+      "cache: filter=%s candidates=%s, sfa-decodes=%llu\n",
       stats.candidates, stats.est_candidates, stats.fetch_threads,
       stats.threads_used, stats.filter_from_cache ? "hit" : "miss",
-      stats.candidates_from_cache ? "hit" : "miss");
+      stats.candidates_from_cache ? "hit" : "miss",
+      static_cast<unsigned long long>(stats.sfa_decodes));
   // Per-stage est-vs-actual: measured wall time per physical stage (the
   // executor's own clock, StageTimings) next to the planner's per-stage
   // cost estimate (cost units, where ~1.0 = one sequential page read).
@@ -1243,6 +1261,7 @@ void FoldShardStats(const std::vector<QueryStats>& per_shard,
     out->cache_bytes += ps.cache_bytes;
     out->eval_pruned += ps.eval_pruned;
     out->eval_steps_saved += ps.eval_steps_saved;
+    out->sfa_decodes += ps.sfa_decodes;
     out->shared_plan_hit |= ps.shared_plan_hit;
     // Budget observability: any degraded shard degrades the whole query;
     // visited counts sum. io_retries is NOT folded — per-shard stats all

@@ -16,9 +16,10 @@
 //                 each posting. The storage read paths are concurrent-safe.
 //   Eval          scores each candidate: DFA match over stored strings, or
 //                 the DFAxSFA dynamic program. The SFA stage *streams*:
-//                 each pool worker fetches one candidate's blob, decodes
-//                 it through the flat SfaView into a per-worker scratch
-//                 arena (no per-candidate heap objects), and runs the
+//                 each pool worker fetches one candidate as a flat
+//                 SfaView — attached to the decoded image the buffer
+//                 cache holds, decoded once on a miss (or into a
+//                 per-worker scratch arena without a cache) — and runs the
 //                 bounded DP — aborting the moment the candidate's exact
 //                 probability upper bound falls below the running k-th
 //                 best answer (the TopK threshold, shared and monotone).
@@ -199,6 +200,11 @@ struct QueryStats {
   // answers always are.
   size_t eval_pruned = 0;
   uint64_t eval_steps_saved = 0;
+  /// SFA blobs the Fetch stage decoded: one per cache miss, one per
+  /// candidate read on a cacheless database. A cache hit, or a delta
+  /// document (decoded once when it was published), attaches to an
+  /// existing image and decodes nothing, so a warm Execute reports 0.
+  uint64_t sfa_decodes = 0;
   // Scatter-gather observability: one entry per partition of the
   // Session's database (one on a single StaccatoDb). The top-level
   // counters above are the cross-partition totals.

@@ -399,6 +399,11 @@ Result<std::shared_ptr<const DeltaDoc>> StaccatoDb::MaterializeDelta(
   params.k = rec.staccato_k;
   STACCATO_ASSIGN_OR_RETURN(Sfa chunked, ConstructStaccato(sfa, params));
   d->graph_blob = chunked.Serialize();
+  SfaViewArena arena;
+  STACCATO_ASSIGN_OR_RETURN(d->full_image,
+                            DecodeSfaImage(d->full_blob, &arena));
+  STACCATO_ASSIGN_OR_RETURN(d->graph_image,
+                            DecodeSfaImage(d->graph_blob, &arena));
   if (dict_) {
     STACCATO_ASSIGN_OR_RETURN(PostingMap pm, BuildPostings(chunked, *dict_));
     for (const auto& [tid, vec] : pm) {
@@ -906,17 +911,18 @@ Result<cache::BufferCache::Handle> StaccatoDb::FetchBlobCached(DocId doc,
                                                                bool full_sfa) {
   {
     // Delta documents live in memory: serve a detached handle over a copy
-    // of the exact bytes a checkpoint would persist.
+    // of the image decoded when the document was published.
     util::MutexLock lock(&ingest_mu_);
     if (doc >= base_docs_ && doc - base_docs_ < delta_.size()) {
       const DeltaDoc& d = *delta_[doc - base_docs_];
       return cache::BufferCache::Detached(
-          std::string(full_sfa ? d.full_blob : d.graph_blob));
+          std::string(full_sfa ? d.full_image : d.graph_image));
     }
   }
-  // A cache hit serves the pinned bytes straight away; only a miss pays
-  // the heap point get that resolves the blob id — same shape as the
-  // executor's streaming Fetch.
+  // A cache hit serves the pinned image straight away; only a miss pays
+  // the heap point get that resolves the blob id, the read and the
+  // decode — same shape as the executor's streaming Fetch.
+  SfaViewArena arena;
   return blobs_->GetCached(
       BlobCacheKey(full_sfa, doc, blob_gen_.load(std::memory_order_acquire)),
       [&]() -> Result<BlobId> {
@@ -926,7 +932,8 @@ Result<cache::BufferCache::Handle> StaccatoDb::FetchBlobCached(DocId doc,
         HeapTable* table = full_sfa ? fullsfa_.get() : staccato_graph_.get();
         STACCATO_ASSIGN_OR_RETURN(Tuple t, table->Get(rids[doc]));
         return t[1].AsBlobId();
-      });
+      },
+      [&](std::string_view wire) { return DecodeSfaImage(wire, &arena); });
 }
 
 Result<std::string> StaccatoDb::ReadStaccatoBlob(DocId doc) {

@@ -174,12 +174,15 @@ class StaccatoDb {
   /// when caching is disabled (zero budget).
   cache::BufferCache* buffer_cache() const { return cache_.get(); }
 
-  /// Cache-aware blob read, exactly as the executor's Fetch stage
-  /// performs it: a heap point get resolves the blob id, then the store
-  /// reads through the buffer cache keyed on (representation, doc,
-  /// blob_generation). Delta documents are served from memory on a
-  /// detached handle. Exposed for benches and tests that measure the
-  /// Fetch unit in isolation.
+  /// Cache-aware fetch, exactly as the executor's Fetch stage performs
+  /// it. The handle holds the *decoded SFA image* (attach an SfaView to
+  /// its value()), not the wire bytes. A hit pins the cached image; a
+  /// miss resolves the blob id with a heap point get, reads the blob,
+  /// decodes it once and caches the image under (representation, doc,
+  /// blob_generation). Delta documents are served on a detached handle
+  /// over a copy of the image built when they were published. Exposed
+  /// for benches and tests that measure the Fetch unit in isolation;
+  /// ReadStaccatoBlob / ReadFullSfaBlob return the wire bytes.
   Result<cache::BufferCache::Handle> FetchBlobCached(DocId doc,
                                                      bool full_sfa);
 

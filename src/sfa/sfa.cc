@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <deque>
 #include <unordered_map>
 #include <unordered_set>
@@ -245,7 +246,68 @@ Result<Sfa> Sfa::Deserialize(const std::string& blob) {
   return b.Build();
 }
 
+namespace {
+
+constexpr uint32_t kSfaImageMagic = 0x53464931;  // "SFI1"
+
+/// The fixed head of an SFA image; the arrays follow at offsets that
+/// ImageLayout derives from these counts alone.
+struct ImageHeader {
+  uint32_t magic;
+  uint32_t num_nodes;
+  uint32_t num_edges;
+  uint32_t num_transitions;
+  uint32_t start;
+  uint32_t final;
+  uint64_t total_label_chars;
+  uint64_t wire_bytes;
+  uint32_t mass_bound_safe;
+  uint32_t reserved;
+};
+static_assert(sizeof(ImageHeader) % alignof(double) == 0,
+              "the probability array follows the header");
+
+/// Byte offsets of each array inside an image. The 8-byte probabilities
+/// come first, right after the header, so every array is naturally
+/// aligned when the image itself is 8-byte aligned.
+struct ImageLayout {
+  size_t probs, edges, label_offsets, out_offsets, out_edges, topo, labels;
+  size_t total;
+};
+
+ImageLayout LayoutFor(uint64_t nodes, uint64_t edges, uint64_t transitions,
+                      uint64_t label_bytes) {
+  ImageLayout l;
+  size_t at = sizeof(ImageHeader);
+  l.probs = at;
+  at += transitions * sizeof(double);
+  l.edges = at;
+  at += edges * sizeof(ViewEdge);
+  l.label_offsets = at;
+  at += (transitions + 1) * sizeof(uint32_t);
+  l.out_offsets = at;
+  at += (nodes + 1) * sizeof(uint32_t);
+  l.out_edges = at;
+  at += edges * sizeof(EdgeId);
+  l.topo = at;
+  at += nodes * sizeof(NodeId);
+  l.labels = at;
+  at += label_bytes;
+  l.total = at;
+  return l;
+}
+
+void CopyBytes(char* dst, const void* src, size_t bytes) {
+  if (bytes > 0) std::memcpy(dst, src, bytes);
+}
+
+}  // namespace
+
 Status SfaView::Decode(std::string_view blob, SfaViewArena* arena) {
+  // Node and edge ids, label offsets and counts are 32-bit in a view.
+  if (blob.size() >= std::numeric_limits<uint32_t>::max()) {
+    return Status::Corruption("SFA blob too large for a view");
+  }
   BinaryReader r(blob.data(), blob.size());
   STACCATO_ASSIGN_OR_RETURN(uint32_t magic, r.GetU32());
   if (magic != kSfaMagic) return Status::Corruption("bad SFA magic");
@@ -266,11 +328,12 @@ Status SfaView::Decode(std::string_view blob, SfaViewArena* arena) {
   }
 
   arena->edges.clear();
-  arena->transitions.clear();
+  arena->probs.clear();
+  arena->label_offsets.assign(1, 0);
+  arena->labels.clear();
   arena->indegree.assign(num_nodes, 0);
   // out_offsets doubles as the out-degree histogram during the first pass.
   arena->out_offsets.assign(num_nodes + 1, 0);
-  total_label_chars_ = 0;
   for (uint64_t i = 0; i < num_edges; ++i) {
     STACCATO_ASSIGN_OR_RETURN(uint64_t from, r.GetVarint());
     STACCATO_ASSIGN_OR_RETURN(uint64_t to, r.GetVarint());
@@ -285,7 +348,7 @@ Status SfaView::Decode(std::string_view blob, SfaViewArena* arena) {
     ViewEdge e;
     e.from = static_cast<NodeId>(from);
     e.to = static_cast<NodeId>(to);
-    e.first_transition = static_cast<uint32_t>(arena->transitions.size());
+    e.first_transition = static_cast<uint32_t>(arena->probs.size());
     e.num_transitions = static_cast<uint32_t>(nt);
     for (uint64_t j = 0; j < nt; ++j) {
       STACCATO_ASSIGN_OR_RETURN(std::string_view label, r.GetStringView());
@@ -294,8 +357,10 @@ Status SfaView::Decode(std::string_view blob, SfaViewArena* arena) {
       if (!(prob > 0.0) || prob > 1.0 + 1e-9) {
         return Status::Corruption("transition probability out of (0,1]");
       }
-      arena->transitions.push_back({label, prob});
-      total_label_chars_ += label.size();
+      arena->probs.push_back(prob);
+      arena->labels.append(label);
+      arena->label_offsets.push_back(
+          static_cast<uint32_t>(arena->labels.size()));
     }
     arena->edges.push_back(e);
     ++arena->out_offsets[from + 1];
@@ -330,7 +395,7 @@ Status SfaView::Decode(std::string_view blob, SfaViewArena* arena) {
          ++k) {
       const ViewEdge& e = arena->edges[arena->out_edges[k]];
       for (uint32_t t = 0; t < e.num_transitions; ++t) {
-        sum += arena->transitions[e.first_transition + t].prob;
+        sum += arena->probs[e.first_transition + t];
       }
     }
     if (sum > 1.0 + 1e-6) mass_bound_safe_ = false;
@@ -357,10 +422,94 @@ Status SfaView::Decode(std::string_view blob, SfaViewArena* arena) {
   }
 
   num_nodes_ = num_nodes;
+  num_edges_ = arena->edges.size();
+  num_transitions_ = arena->probs.size();
   start_ = static_cast<NodeId>(start);
   final_ = static_cast<NodeId>(final);
-  arena_ = arena;
+  total_label_chars_ = arena->labels.size();
+  wire_bytes_ = blob.size();
+  edges_ = arena->edges.data();
+  probs_ = arena->probs.data();
+  label_offsets_ = arena->label_offsets.data();
+  labels_ = arena->labels.data();
+  out_offsets_ = arena->out_offsets.data();
+  out_edges_ = arena->out_edges.data();
+  topo_ = arena->topo.data();
   return Status::OK();
+}
+
+std::string SfaView::ToImage() const {
+  const ImageLayout l =
+      LayoutFor(num_nodes_, num_edges_, num_transitions_, total_label_chars_);
+  std::string image(l.total, '\0');
+  char* base = image.data();
+  ImageHeader h{};
+  h.magic = kSfaImageMagic;
+  h.num_nodes = static_cast<uint32_t>(num_nodes_);
+  h.num_edges = static_cast<uint32_t>(num_edges_);
+  h.num_transitions = static_cast<uint32_t>(num_transitions_);
+  h.start = start_;
+  h.final = final_;
+  h.total_label_chars = total_label_chars_;
+  h.wire_bytes = wire_bytes_;
+  h.mass_bound_safe = mass_bound_safe_ ? 1 : 0;
+  CopyBytes(base, &h, sizeof(h));
+  CopyBytes(base + l.probs, probs_, num_transitions_ * sizeof(double));
+  CopyBytes(base + l.edges, edges_, num_edges_ * sizeof(ViewEdge));
+  CopyBytes(base + l.label_offsets, label_offsets_,
+            (num_transitions_ + 1) * sizeof(uint32_t));
+  CopyBytes(base + l.out_offsets, out_offsets_,
+            (num_nodes_ + 1) * sizeof(uint32_t));
+  CopyBytes(base + l.out_edges, out_edges_, num_edges_ * sizeof(EdgeId));
+  CopyBytes(base + l.topo, topo_, num_nodes_ * sizeof(NodeId));
+  CopyBytes(base + l.labels, labels_, total_label_chars_);
+  return image;
+}
+
+Status SfaView::Attach(std::string_view image) {
+  if (image.size() < sizeof(ImageHeader) ||
+      reinterpret_cast<uintptr_t>(image.data()) % alignof(double) != 0) {
+    return Status::Corruption("not an aligned SFA image");
+  }
+  ImageHeader h;
+  std::memcpy(&h, image.data(), sizeof(h));
+  if (h.magic != kSfaImageMagic) {
+    return Status::Corruption("bad SFA image magic");
+  }
+  if (h.num_nodes == 0 || h.start >= h.num_nodes || h.final >= h.num_nodes) {
+    return Status::Corruption("SFA image header out of range");
+  }
+  const ImageLayout l = LayoutFor(h.num_nodes, h.num_edges, h.num_transitions,
+                                  h.total_label_chars);
+  if (l.total != image.size()) {
+    return Status::Corruption("SFA image size does not match its header");
+  }
+  // ToImage wrote every array with memcpy, which creates the objects the
+  // typed pointers below read.
+  const char* base = image.data();
+  num_nodes_ = h.num_nodes;
+  num_edges_ = h.num_edges;
+  num_transitions_ = h.num_transitions;
+  start_ = h.start;
+  final_ = h.final;
+  total_label_chars_ = h.total_label_chars;
+  wire_bytes_ = h.wire_bytes;
+  mass_bound_safe_ = h.mass_bound_safe != 0;
+  edges_ = reinterpret_cast<const ViewEdge*>(base + l.edges);
+  probs_ = reinterpret_cast<const double*>(base + l.probs);
+  label_offsets_ = reinterpret_cast<const uint32_t*>(base + l.label_offsets);
+  labels_ = base + l.labels;
+  out_offsets_ = reinterpret_cast<const uint32_t*>(base + l.out_offsets);
+  out_edges_ = reinterpret_cast<const EdgeId*>(base + l.out_edges);
+  topo_ = reinterpret_cast<const NodeId*>(base + l.topo);
+  return Status::OK();
+}
+
+Result<std::string> DecodeSfaImage(std::string_view blob,
+                                   SfaViewArena* arena) {
+  SfaView view;
+  STACCATO_RETURN_NOT_OK(view.Decode(blob, arena));
+  return view.ToImage();
 }
 
 NodeId SfaBuilder::AddNode() { return static_cast<NodeId>(num_nodes_++); }

@@ -12,6 +12,7 @@
 // under the Staccato Collapse operation.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -167,14 +168,14 @@ class SfaBuilder {
 Result<Sfa> MakeChainSfa(size_t length, size_t alternatives);
 
 /// \brief One labeled alternative as seen by SfaView: the label is a slice
-/// of the decoded blob, not an owned string.
+/// of the view's label bytes, not an owned string.
 struct ViewTransition {
   std::string_view label;
   double prob = 0.0;
 };
 
 /// \brief One edge as seen by SfaView: a [first, first+count) range into
-/// the arena's flat transition array.
+/// the view's transition arrays.
 struct ViewEdge {
   NodeId from = kInvalidNode;
   NodeId to = kInvalidNode;
@@ -182,14 +183,33 @@ struct ViewEdge {
   uint32_t num_transitions = 0;
 };
 
+/// \brief A read-only run of node ids (SfaView's topological order); it
+/// compares equal to a vector holding the same ids.
+struct NodeSpan {
+  using value_type = NodeId;
+  using iterator = const NodeId*;
+  using const_iterator = const NodeId*;
+
+  const NodeId* first = nullptr;
+  size_t count = 0;
+
+  const NodeId* begin() const { return first; }
+  const NodeId* end() const { return first + count; }
+  bool operator==(const std::vector<NodeId>& v) const {
+    return count == v.size() && std::equal(begin(), end(), v.begin());
+  }
+};
+
 /// \brief Reusable backing storage for SfaView decoding. All buffers are
-/// plain vectors that grow to the largest blob seen and are then reused, so
-/// decoding candidate number N+1 performs no heap allocation once the arena
-/// is warm — the point of the view path. One arena serves one worker; it is
-/// not synchronized.
+/// plain containers that grow to the largest blob seen and are then
+/// reused, so decoding candidate number N+1 performs no heap allocation
+/// once the arena is warm. One arena serves one worker; it is not
+/// synchronized.
 struct SfaViewArena {
   std::vector<ViewEdge> edges;
-  std::vector<ViewTransition> transitions;
+  std::vector<double> probs;              ///< one per transition
+  std::vector<uint32_t> label_offsets;    ///< transitions + 1 entries
+  std::string labels;                     ///< label bytes, transition order
   std::vector<uint32_t> out_offsets;  ///< CSR offsets, num_nodes + 1 entries
   std::vector<EdgeId> out_edges;      ///< CSR payload, edge ids ascending
   std::vector<NodeId> topo;           ///< Kahn order (also the work queue)
@@ -197,14 +217,24 @@ struct SfaViewArena {
   std::vector<uint32_t> out_cursor;   ///< decode scratch
 };
 
-/// \brief Flat, allocation-free decoding of a serialized SFA blob.
+/// \brief Flat decoding of a serialized SFA blob, and the position-
+/// independent *image* the buffer cache keeps instead of the blob.
 ///
 /// Where Sfa::Deserialize rebuilds the full object graph (SfaBuilder,
 /// per-edge transition vectors, owned label strings, hash-map edge
-/// dedup), SfaView decodes the same wire format into flat arrays borrowed
-/// from a caller-owned SfaViewArena: labels stay string_views into the
-/// blob, edges and transitions are index ranges, and adjacency is CSR.
-/// The view borrows both the blob and the arena; both must outlive it.
+/// dedup), a view is a handful of flat arrays: edges and transitions are
+/// index ranges, probabilities and label offsets are parallel arrays, the
+/// label bytes are one run in transition order, and adjacency is CSR.
+///
+/// The arrays live in one of two places. Decode parses a blob into a
+/// caller-owned SfaViewArena (the view borrows the arena). ToImage copies
+/// the decoded arrays into one flat byte string — a fixed header, then
+/// each array at an offset computed from the header's counts — and Attach
+/// points a view at such an image in O(1) (the view borrows the image).
+/// An image holds 8 B of probability and 4 B of label offset per
+/// transition plus its label bytes, 20 B per edge and 8 B per node. Only
+/// Decode validates: Attach checks the header and the size, and trusts
+/// the arrays because only ToImage writes them.
 ///
 /// Structural guarantees match what the DFA×SFA dynamic program needs and
 /// what Sfa::Deserialize produces for engine-written blobs: edge order is
@@ -222,29 +252,44 @@ class SfaView {
   /// unspecified after a failure (the next Decode resets them).
   Status Decode(std::string_view blob, SfaViewArena* arena);
 
+  /// Points this view at an image ToImage wrote, in O(1). The image must
+  /// be 8-byte aligned (std::string storage is) and outlive the view.
+  /// Returns Corruption when the header or the size does not match.
+  Status Attach(std::string_view image);
+
+  /// The view's arrays as one image, allocated once at exactly its size.
+  std::string ToImage() const;
+
   size_t NumNodes() const { return num_nodes_; }
-  size_t NumEdges() const { return arena_->edges.size(); }
-  size_t NumTransitions() const { return arena_->transitions.size(); }
+  size_t NumEdges() const { return num_edges_; }
+  size_t NumTransitions() const { return num_transitions_; }
   NodeId start() const { return start_; }
   NodeId final() const { return final_; }
 
-  const ViewEdge& edge(EdgeId e) const { return arena_->edges[e]; }
-  const ViewTransition& transition(uint32_t t) const {
-    return arena_->transitions[t];
+  const ViewEdge& edge(EdgeId e) const { return edges_[e]; }
+  std::string_view label(uint32_t t) const {
+    return std::string_view(labels_ + label_offsets_[t],
+                            label_offsets_[t + 1] - label_offsets_[t]);
   }
+  double prob(uint32_t t) const { return probs_[t]; }
+  ViewTransition transition(uint32_t t) const { return {label(t), prob(t)}; }
   /// Out-edge ids of `n`, ascending — same order as Sfa::OutEdges.
   const EdgeId* out_begin(NodeId n) const {
-    return arena_->out_edges.data() + arena_->out_offsets[n];
+    return out_edges_ + out_offsets_[n];
   }
   const EdgeId* out_end(NodeId n) const {
-    return arena_->out_edges.data() + arena_->out_offsets[n + 1];
+    return out_edges_ + out_offsets_[n + 1];
   }
   /// Nodes in topological order (identical to Sfa::TopologicalOrder()).
-  const std::vector<NodeId>& TopologicalOrder() const { return arena_->topo; }
+  NodeSpan TopologicalOrder() const { return {topo_, num_nodes_}; }
 
   /// Σ label lengths over all transitions; with the DFA state count this
   /// prices a full evaluation (the steps_total of EvalBound).
   uint64_t TotalLabelChars() const { return total_label_chars_; }
+
+  /// Size of the serialized blob this view was decoded from — what the
+  /// Fetch stage charges to a query's byte budget, cached or not.
+  size_t WireBytes() const { return wire_bytes_; }
 
   /// True iff every node's outgoing transition probabilities sum to at most
   /// 1 (+ε). This is the precondition for the live-mass upper bound of the
@@ -255,11 +300,25 @@ class SfaView {
 
  private:
   size_t num_nodes_ = 0;
+  size_t num_edges_ = 0;
+  size_t num_transitions_ = 0;
   NodeId start_ = kInvalidNode;
   NodeId final_ = kInvalidNode;
   uint64_t total_label_chars_ = 0;
+  size_t wire_bytes_ = 0;
   bool mass_bound_safe_ = false;
-  const SfaViewArena* arena_ = nullptr;
+  const ViewEdge* edges_ = nullptr;
+  const double* probs_ = nullptr;
+  const uint32_t* label_offsets_ = nullptr;
+  const char* labels_ = nullptr;
+  const uint32_t* out_offsets_ = nullptr;
+  const EdgeId* out_edges_ = nullptr;
+  const NodeId* topo_ = nullptr;
 };
+
+/// Decodes `blob` with every check of SfaView::Decode and returns its
+/// image (SfaView::ToImage); `arena` is decode scratch. This is what the
+/// buffer cache holds for a stored SFA blob.
+Result<std::string> DecodeSfaImage(std::string_view blob, SfaViewArena* arena);
 
 }  // namespace staccato

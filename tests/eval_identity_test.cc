@@ -10,7 +10,9 @@
 // pins the full evaluation; a positive threshold pins where the DP
 // aborts. Any change to the kernel that moves one bit of one answer, or
 // one step of the accounting, fails here; the failure message prints the
-// new row. The last test runs the kernel on 4 pool workers, each with its
+// new row. The same digests must come out when each blob is decoded once
+// into the image the buffer cache keeps and every evaluation attaches to
+// it. The last test runs the kernel on 4 pool workers, each with its
 // own EvalScratch as in the executor, against one.
 //
 // perfbench's answer check cannot catch such drift: its reference
@@ -23,6 +25,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -90,21 +93,23 @@ std::vector<Dfa> CompileAll(const std::vector<std::string>& patterns) {
   return out;
 }
 
+// One evaluation of blob number `blob` against `dfa` at `threshold`.
+using EvalFn = std::function<Result<double>(size_t blob, const Dfa& dfa,
+                                            double threshold, EvalBound*)>;
+
 // Per (blob, dfa, threshold): the result's bits, then pruned, steps and
-// steps_total. One scratch serves every call, as on an executor worker.
-uint32_t Digest(const std::vector<std::string>& blobs,
-                const std::vector<Dfa>& dfas) {
+// steps_total.
+uint32_t DigestOf(size_t num_blobs, const std::vector<Dfa>& dfas,
+                  const EvalFn& eval) {
   std::string bytes;
   auto put = [&bytes](const void* p, size_t n) {
     bytes.append(static_cast<const char*>(p), n);
   };
-  EvalScratch scratch;
-  for (const std::string& blob : blobs) {
+  for (size_t b = 0; b < num_blobs; ++b) {
     for (const Dfa& dfa : dfas) {
       for (double threshold : kThresholds) {
         EvalBound bound;
-        auto p = EvalSerializedSfaBounded(blob, dfa, threshold, &scratch,
-                                          &bound);
+        auto p = eval(b, dfa, threshold, &bound);
         EXPECT_TRUE(p.ok()) << p.status().ToString();
         const double v = p.ok() ? *p : -1.0;
         uint64_t bits;
@@ -119,6 +124,45 @@ uint32_t Digest(const std::vector<std::string>& blobs,
   }
   return util::Crc32(bytes);
 }
+
+// Decodes each blob on every call. One scratch serves every call, as on
+// an executor worker.
+uint32_t Digest(const std::vector<std::string>& blobs,
+                const std::vector<Dfa>& dfas) {
+  EvalScratch scratch;
+  return DigestOf(blobs.size(), dfas,
+                  [&](size_t b, const Dfa& dfa, double threshold,
+                      EvalBound* bound) {
+                    return EvalSerializedSfaBounded(blobs[b], dfa, threshold,
+                                                    &scratch, bound);
+                  });
+}
+
+// Decodes each blob once into the image the buffer cache keeps, then
+// evaluates every call on a view attached to that image, as a warm query
+// does.
+uint32_t ImageDigest(const std::vector<std::string>& blobs,
+                     const std::vector<Dfa>& dfas) {
+  SfaViewArena arena;
+  std::vector<std::string> images;
+  for (const std::string& blob : blobs) {
+    auto image = DecodeSfaImage(blob, &arena);
+    EXPECT_TRUE(image.ok()) << image.status().ToString();
+    images.push_back(image.ok() ? std::move(*image) : std::string());
+  }
+  EvalScratch scratch;
+  return DigestOf(
+      images.size(), dfas,
+      [&](size_t b, const Dfa& dfa, double threshold,
+          EvalBound* bound) -> Result<double> {
+        SfaView view;
+        STACCATO_RETURN_NOT_OK(view.Attach(images[b]));
+        return EvalSfaViewBounded(view, dfa, threshold, &scratch, bound);
+      });
+}
+
+using DigestFn = uint32_t (*)(const std::vector<std::string>&,
+                              const std::vector<Dfa>&);
 
 struct Pinned {
   const char* name;
@@ -141,7 +185,7 @@ const Pinned kPinned[] = {
      0xdf8ddfa2u, 0x60858fddu},
 };
 
-void CheckRow(const Pinned& p) {
+void CheckRow(const Pinned& p, DigestFn digest = Digest) {
   const Blobs blobs = CorpusBlobs(p.kind, p.seed);
   ASSERT_EQ(blobs.staccato.size(), 16u) << p.name;
   ASSERT_EQ(blobs.full.size(), 16u) << p.name;
@@ -152,8 +196,8 @@ void CheckRow(const Pinned& p) {
   ASSERT_EQ(wide[0].NumStates(), 160);
   ASSERT_EQ(wide[1].NumStates(), 512);
   const uint32_t got[4] = {
-      Digest(blobs.staccato, table6), Digest(blobs.full, table6),
-      Digest(blobs.staccato, wide), Digest(blobs.full, wide)};
+      digest(blobs.staccato, table6), digest(blobs.full, table6),
+      digest(blobs.staccato, wide), digest(blobs.full, wide)};
   const uint32_t want[4] = {p.staccato_table6, p.full_table6, p.staccato_wide,
                             p.full_wide};
   static const char* const kCols[4] = {"Staccato x Table 6",
@@ -188,6 +232,12 @@ TEST(EvalIdentityTest, LiteratureDigestsMatchReference) {
 
 TEST(EvalIdentityTest, DbPapersDigestsMatchReference) {
   CheckRow(kPinned[2]);
+}
+
+// The cached-image path: each blob decoded once, every evaluation on an
+// attached image, must reproduce the same pinned digests.
+TEST(EvalIdentityTest, AttachedImagesMatchReference) {
+  for (const Pinned& p : kPinned) CheckRow(p, ImageDigest);
 }
 
 // Worker-slot scratches, as in the executor's Eval stage: each pair's

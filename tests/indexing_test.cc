@@ -193,6 +193,58 @@ TEST(ProjectionTest, EvalFindsTermAtLocation) {
   EXPECT_EQ(EvalProjected(sfa, *dfa, 3, 3), 0.0);
 }
 
+// The executor projects on the SfaView of a cached image; for every
+// posting anchor and horizon the view must return exactly the double the
+// Sfa object graph does.
+TEST(ProjectionTest, ImageViewMatchesObjectGraphBitForBit) {
+  auto dict = DictionaryTrie::Build({"public", "law", "act", "the", "of"});
+  ASSERT_TRUE(dict.ok());
+  std::vector<Dfa> dfas;
+  for (const char* pat : {"public", "law", "(a|e)ct", "the"}) {
+    auto dfa = Dfa::Compile(pat, MatchMode::kContains);
+    ASSERT_TRUE(dfa.ok());
+    dfas.push_back(std::move(*dfa));
+  }
+  SfaViewArena arena;
+  size_t compared = 0, nonzero = 0;
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed * 7919);
+    OcrNoiseModel model;
+    model.alternatives = 4;
+    model.p_branch = 0.3;
+    auto full = OcrLineToSfa("the public law of the act", model, &rng);
+    ASSERT_TRUE(full.ok());
+    auto chunked = ApproximateSfa(*full, {6, 3, true});
+    ASSERT_TRUE(chunked.ok());
+    for (const Sfa* sfa : {&*full, &*chunked}) {
+      auto image = DecodeSfaImage(sfa->Serialize(), &arena);
+      ASSERT_TRUE(image.ok()) << image.status().ToString();
+      SfaView view;
+      ASSERT_TRUE(view.Attach(*image).ok());
+      auto postings = BuildPostings(*sfa, *dict);
+      ASSERT_TRUE(postings.ok());
+      for (const auto& [term, vec] : *postings) {
+        for (const Posting& p : vec) {
+          const NodeId from = sfa->edge(p.edge).from;
+          ASSERT_EQ(view.edge(p.edge).from, from);
+          for (size_t horizon : {1, 3, 6, 14}) {
+            for (const Dfa& dfa : dfas) {
+              const double want = EvalProjected(*sfa, dfa, from, horizon);
+              EXPECT_EQ(EvalProjected(view, dfa, from, horizon), want)
+                  << "seed " << seed << " edge " << p.edge << " horizon "
+                  << horizon;
+              ++compared;
+              nonzero += want > 0.0 ? 1 : 0;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(compared, 100u);
+  EXPECT_GT(nonzero, 0u);
+}
+
 TEST(ProjectionTest, BytesSmallerThanFullSfa) {
   Sfa sfa = SingleStringSfa("a longer line of text for projection");
   size_t proj = ProjectionBytes(sfa, 5, 6);

@@ -6,7 +6,9 @@
 
 #include "inference/kbest.h"
 #include "inference/query_eval.h"
+#include "ocr/generator.h"
 #include "sfa/sfa.h"
+#include "staccato/chunking.h"
 #include "util/random.h"
 
 namespace staccato {
@@ -376,6 +378,84 @@ TEST(SfaViewTest, DecodeMatchesDeserializeStructurally) {
       }
     }
   }
+}
+
+// A view attached to the image of a decoded blob is the decoded view:
+// same counts, invariants, order, edges and transitions.
+TEST(SfaViewTest, AttachedImageMatchesDecodeStructurally) {
+  Rng rng(5);
+  OcrNoiseModel model;
+  model.alternatives = 5;
+  auto full = OcrLineToSfa("Attorney General of the State", model, &rng);
+  ASSERT_TRUE(full.ok());
+  auto chunked = ApproximateSfa(*full, StaccatoParams{});
+  ASSERT_TRUE(chunked.ok());
+  Sfa fig = Figure1Sfa();
+  for (const Sfa* sfa : {&*full, &*chunked, &fig}) {
+    const std::string blob = sfa->Serialize();
+    SfaViewArena arena;
+    SfaView decoded;
+    ASSERT_TRUE(decoded.Decode(blob, &arena).ok());
+    const std::string image = decoded.ToImage();
+    SfaView attached;
+    ASSERT_TRUE(attached.Attach(image).ok());
+
+    EXPECT_EQ(attached.NumNodes(), decoded.NumNodes());
+    EXPECT_EQ(attached.NumEdges(), decoded.NumEdges());
+    EXPECT_EQ(attached.NumTransitions(), decoded.NumTransitions());
+    EXPECT_EQ(attached.start(), decoded.start());
+    EXPECT_EQ(attached.final(), decoded.final());
+    EXPECT_EQ(attached.TotalLabelChars(), decoded.TotalLabelChars());
+    EXPECT_EQ(attached.MassBoundSafe(), decoded.MassBoundSafe());
+    EXPECT_EQ(attached.WireBytes(), blob.size());
+    EXPECT_EQ(attached.TopologicalOrder(), sfa->TopologicalOrder());
+    for (NodeId n = 0; n < attached.NumNodes(); ++n) {
+      ASSERT_EQ(attached.out_end(n) - attached.out_begin(n),
+                decoded.out_end(n) - decoded.out_begin(n));
+      for (const EdgeId* a = attached.out_begin(n), *d = decoded.out_begin(n);
+           a != attached.out_end(n); ++a, ++d) {
+        EXPECT_EQ(*a, *d);
+      }
+    }
+    for (EdgeId e = 0; e < attached.NumEdges(); ++e) {
+      const ViewEdge& ae = attached.edge(e);
+      const ViewEdge& de = decoded.edge(e);
+      EXPECT_EQ(ae.from, de.from);
+      EXPECT_EQ(ae.to, de.to);
+      EXPECT_EQ(ae.first_transition, de.first_transition);
+      EXPECT_EQ(ae.num_transitions, de.num_transitions);
+    }
+    for (uint32_t t = 0; t < attached.NumTransitions(); ++t) {
+      EXPECT_EQ(attached.label(t), decoded.label(t));
+      EXPECT_EQ(attached.prob(t), decoded.prob(t));
+    }
+
+    // DecodeSfaImage is Decode + ToImage, byte for byte.
+    auto direct = DecodeSfaImage(blob, &arena);
+    ASSERT_TRUE(direct.ok());
+    EXPECT_EQ(*direct, image);
+  }
+}
+
+// Attach checks the header and the size in O(1); it never trusts an
+// image whose size disagrees with its counts.
+TEST(SfaViewTest, AttachRejectsWhatIsNotAnImage) {
+  const std::string blob = Figure1Sfa().Serialize();
+  SfaView view;
+  EXPECT_FALSE(view.Attach(blob).ok());  // wire bytes are not an image
+  SfaViewArena arena;
+  auto image = DecodeSfaImage(blob, &arena);
+  ASSERT_TRUE(image.ok());
+  EXPECT_FALSE(view.Attach(std::string_view(image->data(), 8)).ok());
+  EXPECT_FALSE(
+      view.Attach(std::string_view(image->data(), image->size() - 1)).ok());
+  std::string longer = *image + "x";
+  EXPECT_FALSE(view.Attach(longer).ok());
+  std::string bad_magic = *image;
+  bad_magic[0] ^= 1;
+  EXPECT_FALSE(view.Attach(bad_magic).ok());
+  EXPECT_TRUE(view.Attach(*image).ok());
+  EXPECT_EQ(view.NumNodes(), Figure1Sfa().NumNodes());
 }
 
 TEST(SfaViewTest, RejectsCorruptBlobs) {

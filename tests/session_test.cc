@@ -4,14 +4,20 @@
 
 #include <algorithm>
 #include <cctype>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "eval/workbench.h"
 #include "rdbms/session.h"
 #include "rdbms/shard.h"
 #include "rdbms/staccato_db.h"
+#include "sfa/sfa.h"
+#include "telemetry/metrics_registry.h"
 
 namespace staccato {
 namespace {
@@ -802,6 +808,270 @@ TEST(SessionTest, SessionDefaultsToParallelEval) {
   auto legacy = (*wb)->db().Query(Approach::kStaccato, q);
   ASSERT_TRUE(legacy.ok());
   ExpectSameAnswers(*answers, *legacy);
+}
+
+// The buffer cache holds decoded SFA images, so a blob is decoded once
+// per cache miss: a cold Execute decodes each fetched base candidate once,
+// a warm one decodes nothing, a cacheless database decodes every visited
+// candidate on every Execute, and an appended document (decoded when it
+// was published) is never decoded by a query.
+TEST(SessionTest, SfaDecodesOncePerMissAndNeverWhenWarm) {
+  WorkbenchSpec on_spec = SmallSpec();
+  on_spec.cache = cache::CacheConfig{/*budget_bytes=*/32 << 20, /*shards=*/4};
+  WorkbenchSpec off_spec = SmallSpec();
+  off_spec.cache = cache::CacheConfig{/*budget_bytes=*/0, /*shards=*/0};
+  auto on = Workbench::Create(on_spec);
+  auto off = Workbench::Create(off_spec);
+  ASSERT_TRUE(on.ok() && off.ok());
+  rdbms::StaccatoDb& db = (*on)->db();
+  rdbms::StaccatoDb& off_db = (*off)->db();
+  telemetry::Counter* decodes_total =
+      telemetry::MetricsRegistry::Global().GetCounter(
+          "staccato_sfa_decodes_total");
+
+  QueryOptions q;
+  q.pattern = "President";
+  q.index_mode = IndexMode::kNever;  // scan: every document is a candidate
+  q.eval_threads = 2;
+  for (Approach approach : {Approach::kFullSfa, Approach::kStaccato}) {
+    auto pq = Session(&db).Prepare(approach, q);
+    ASSERT_TRUE(pq.ok());
+    ASSERT_TRUE(db.DropCaches().ok());
+    const uint64_t registry_before = decodes_total->value();
+    QueryStats cold;
+    auto cold_ans = pq->Execute(&cold);
+    ASSERT_TRUE(cold_ans.ok());
+    EXPECT_EQ(cold.candidates, db.NumSfas());
+    EXPECT_EQ(cold.cache_misses, cold.candidates);
+    EXPECT_EQ(cold.sfa_decodes, cold.cache_misses)
+        << "one decode per fetched base candidate";
+
+    QueryStats warm;
+    auto warm_ans = pq->Execute(&warm);
+    ASSERT_TRUE(warm_ans.ok());
+    EXPECT_EQ(warm.cache_hits, warm.candidates);
+    EXPECT_EQ(warm.sfa_decodes, 0u) << "a warm Execute re-decoded a blob";
+    EXPECT_EQ(decodes_total->value() - registry_before, cold.sfa_decodes);
+    const std::string explained = rdbms::ExplainPlan(pq->plan(), warm);
+    EXPECT_NE(explained.find("sfa-decodes=0"), std::string::npos)
+        << explained;
+    ExpectSameAnswers(*cold_ans, *warm_ans);
+
+    auto off_pq = Session(&off_db).Prepare(approach, q);
+    ASSERT_TRUE(off_pq.ok());
+    for (int run = 0; run < 2; ++run) {
+      QueryStats uncached;
+      auto off_ans = off_pq->Execute(&uncached);
+      ASSERT_TRUE(off_ans.ok());
+      EXPECT_EQ(uncached.candidates, off_db.NumSfas());
+      EXPECT_EQ(uncached.sfa_decodes, uncached.candidates)
+          << "a cacheless Execute must decode every visited candidate";
+      ExpectSameAnswers(*off_ans, *cold_ans);
+    }
+  }
+
+  // An appended document carries its images: once the base is warm, the
+  // query over base + delta decodes nothing.
+  for (Approach approach : {Approach::kFullSfa, Approach::kStaccato}) {
+    auto pq = Session(&db).Prepare(approach, q);
+    ASSERT_TRUE(pq.ok());
+    ASSERT_TRUE(pq->Execute().ok());
+  }
+  const OcrDataset& dataset = (*on)->dataset();
+  rdbms::DocumentInput doc;
+  doc.doc_name = dataset.corpus.name + "-page-0";
+  doc.year = 2010;
+  doc.truth = dataset.corpus.lines[0];
+  doc.sfa = dataset.sfas[0];
+  ASSERT_TRUE(db.Append(doc).ok());
+  for (Approach approach : {Approach::kFullSfa, Approach::kStaccato}) {
+    auto pq = Session(&db).Prepare(approach, q);
+    ASSERT_TRUE(pq.ok());
+    QueryStats with_delta;
+    ASSERT_TRUE(pq->Execute(&with_delta).ok());
+    EXPECT_EQ(with_delta.candidates, db.NumSfas());
+    EXPECT_EQ(with_delta.sfa_decodes, 0u);
+  }
+}
+
+// A stored blob that fails to decode fails the query with Corruption and
+// never enters the cache: the next Execute reads and fails again instead
+// of serving an image.
+TEST(SessionTest, CorruptStoredBlobFailsAndNeverEntersTheCache) {
+  WorkbenchSpec spec = SmallSpec();
+  spec.cache = cache::CacheConfig{/*budget_bytes=*/32 << 20, /*shards=*/4};
+  spec.work_dir = eval::MakeScratchDir("corrupt-blob");
+  auto wb = Workbench::Create(spec);
+  ASSERT_TRUE(wb.ok());
+  rdbms::StaccatoDb& db = (*wb)->db();
+  const DocId victim = db.NumSfas() - 1;  // visited last by a 1-thread scan
+  auto wire = db.ReadStaccatoBlob(victim);  // also flushes the blob store
+  ASSERT_TRUE(wire.ok());
+
+  // Flip one byte of the victim's SFA magic inside the blob file. Its
+  // length header stays intact, so the read succeeds and decode fails.
+  std::string path;
+  for (const auto& entry : std::filesystem::directory_iterator(spec.work_dir)) {
+    if (entry.path().filename().string().rfind("blobs", 0) == 0) {
+      path = entry.path().string();
+    }
+  }
+  ASSERT_FALSE(path.empty());
+  std::string content;
+  {
+    std::ifstream in(path, std::ios::binary);
+    content.assign(std::istreambuf_iterator<char>(in),
+                   std::istreambuf_iterator<char>());
+  }
+  const size_t at = content.find(*wire);
+  ASSERT_NE(at, std::string::npos);
+  {
+    std::fstream out(path, std::ios::in | std::ios::out | std::ios::binary);
+    out.seekp(static_cast<std::streamoff>(at));
+    out.put(static_cast<char>(content[at] ^ 0x5a));
+  }
+  ASSERT_TRUE(db.DropCaches().ok());
+
+  Session session(&db);
+  QueryOptions q;
+  q.pattern = "President";
+  q.index_mode = IndexMode::kNever;
+  q.eval_threads = 1;
+  auto pq = session.Prepare(Approach::kStaccato, q);
+  ASSERT_TRUE(pq.ok());
+  auto first = pq->Execute();
+  ASSERT_FALSE(first.ok());
+  EXPECT_TRUE(first.status().IsCorruption()) << first.status().ToString();
+
+  cache::BufferCache* cache = db.buffer_cache();
+  ASSERT_NE(cache, nullptr);
+  const cache::CacheKey key =
+      rdbms::BlobCacheKey(/*full_sfa=*/false, victim, db.blob_generation());
+  EXPECT_FALSE(cache->Lookup(key)) << "a corrupt blob's image was cached";
+  // The candidates before the victim were decoded and cached.
+  EXPECT_TRUE(cache->Lookup(
+      rdbms::BlobCacheKey(/*full_sfa=*/false, 0, db.blob_generation())));
+
+  const cache::CacheStats before = cache->stats();
+  auto second = pq->Execute();
+  ASSERT_FALSE(second.ok());
+  EXPECT_TRUE(second.status().IsCorruption()) << second.status().ToString();
+  EXPECT_EQ(second.status().ToString(), first.status().ToString());
+  const cache::CacheStats after = cache->stats();
+  EXPECT_EQ(after.inserts, before.inserts);
+  EXPECT_EQ(after.entries, before.entries);
+  EXPECT_FALSE(cache->Lookup(key));
+  EXPECT_FALSE(db.FetchBlobCached(victim, /*full_sfa=*/false).ok());
+}
+
+// Four threads execute prepared queries against a buffer cache about a
+// third the size of the decoded image set, so misses, inserts, evictions
+// and pins of the same image race each other (run under TSan in CI).
+// Every answer list must equal the one-thread reference.
+TEST(SessionTest, ConcurrentExecutesOverASmallImageCacheMatchOneThread) {
+  WorkbenchSpec spec = SmallSpec();
+  spec.cache = cache::CacheConfig{/*budget_bytes=*/0, /*shards=*/0};
+  auto ref_wb = Workbench::Create(spec);
+  ASSERT_TRUE(ref_wb.ok());
+  rdbms::StaccatoDb& ref_db = (*ref_wb)->db();
+  uint64_t image_bytes = 0, largest = 0;
+  SfaViewArena arena;
+  for (DocId doc = 0; doc < ref_db.NumSfas(); ++doc) {
+    for (bool full : {false, true}) {
+      auto wire = full ? ref_db.ReadFullSfaBlob(doc)
+                       : ref_db.ReadStaccatoBlob(doc);
+      ASSERT_TRUE(wire.ok());
+      auto image = DecodeSfaImage(*wire, &arena);
+      ASSERT_TRUE(image.ok());
+      const uint64_t charge =
+          image->size() + cache::BufferCache::kEntryOverhead;
+      image_bytes += charge;
+      largest = std::max(largest, charge);
+    }
+  }
+  constexpr size_t kShards = 2;
+  spec.cache = cache::CacheConfig{image_bytes / 3, kShards};
+  ASSERT_LT(largest, spec.cache.budget_bytes / kShards)
+      << "every image must fit a shard, or nothing would be cached";
+  auto wb = Workbench::Create(spec);
+  ASSERT_TRUE(wb.ok());
+  rdbms::StaccatoDb& db = (*wb)->db();
+
+  struct Query {
+    Approach approach;
+    const char* pattern;
+  };
+  const std::vector<Query> queries = {{Approach::kStaccato, "President"},
+                                      {Approach::kFullSfa, "President"},
+                                      {Approach::kStaccato, "United States"},
+                                      {Approach::kFullSfa, "Public Law"}};
+  auto options = [](const char* pattern) {
+    QueryOptions q;
+    q.pattern = pattern;
+    q.index_mode = IndexMode::kNever;
+    q.eval_threads = 2;
+    return q;
+  };
+  std::vector<std::vector<Answer>> reference;
+  for (const Query& query : queries) {
+    auto pq = Session(&ref_db).Prepare(query.approach, options(query.pattern));
+    ASSERT_TRUE(pq.ok());
+    auto ans = pq->Execute();
+    ASSERT_TRUE(ans.ok());
+    ASSERT_FALSE(ans->empty()) << query.pattern;
+    reference.push_back(std::move(*ans));
+  }
+
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 3;
+  // got[t][round * queries + i]: thread t's answers; each thread starts at
+  // a different query so that the same images are wanted concurrently by
+  // threads in different phases of their scans.
+  std::vector<std::vector<std::vector<Answer>>> got(kThreads);
+  std::vector<Status> failures(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t]() {
+      Session session(&db);
+      std::vector<PreparedQuery> prepared;
+      for (const Query& query : queries) {
+        auto pq = session.Prepare(query.approach, options(query.pattern));
+        if (!pq.ok()) {
+          failures[t] = pq.status();
+          return;
+        }
+        prepared.push_back(std::move(*pq));
+      }
+      got[t].resize(kRounds * queries.size());
+      for (int round = 0; round < kRounds; ++round) {
+        for (size_t k = 0; k < queries.size(); ++k) {
+          const size_t i = (k + static_cast<size_t>(t)) % queries.size();
+          auto ans = prepared[i].Execute();
+          if (!ans.ok()) {
+            failures[t] = ans.status();
+            return;
+          }
+          got[t][round * queries.size() + i] = std::move(*ans);
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_TRUE(failures[t].ok()) << "thread " << t << ": "
+                                  << failures[t].ToString();
+    for (int round = 0; round < kRounds; ++round) {
+      for (size_t i = 0; i < queries.size(); ++i) {
+        SCOPED_TRACE(testing::Message() << "thread " << t << " round "
+                                        << round << " query " << i);
+        ExpectSameAnswers(got[t][round * queries.size() + i], reference[i]);
+      }
+    }
+  }
+  const cache::CacheStats stats = db.buffer_cache()->stats();
+  EXPECT_GT(stats.evictions, 0u) << "the budget never forced an eviction";
+  EXPECT_GT(stats.hits, 0u);
+  EXPECT_LE(stats.bytes_in_use, spec.cache.budget_bytes);
 }
 
 }  // namespace
